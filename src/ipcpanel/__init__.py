@@ -33,7 +33,7 @@ from .model import (
     TruthSpec,
     validate,
 )
-from .numerics import SymEigen, annihilator_apply, chi2_sf, sym_eigh
+from .numerics import annihilator_apply, chi2_sf
 from .simulation import (
     Dgp1Spec,
     McResult,
@@ -57,7 +57,6 @@ __all__ = [
     "McResult",
     "PanelDataset",
     "RatioDecision",
-    "SymEigen",
     "TruthSpec",
     "WaldSpec",
     "annihilator_apply",
@@ -78,7 +77,6 @@ __all__ = [
     "projector_distance",
     "run_monte_carlo",
     "strength_gap_diagnostic",
-    "sym_eigh",
     "threshold_tau",
     "unit_variances",
     "validate",

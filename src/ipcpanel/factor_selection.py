@@ -16,7 +16,7 @@ from .errors import (
     InvalidEigenvaluesError,
 )
 from .init_estimator import annihilate_outcomes, f_given_beta
-from .model import THRESHOLD_PER_GROUP, FactorGroup, IpcConfig, PanelDataset
+from .model import THRESHOLD_GLOBAL, FactorGroup, IpcConfig, PanelDataset
 from .numerics import top_sym_eigh
 
 #: slack below zero tolerated in eigenvalue inputs before clamping
@@ -125,8 +125,6 @@ def extract_group(
     beta0: np.ndarray,
     prior: list[FactorGroup],
     config: IpcConfig,
-    *,
-    tau: float | None = None,
 ) -> FactorGroup:
     """Estimate the next factor group given all previously extracted ones.
 
@@ -134,8 +132,9 @@ def extract_group(
     by :func:`eigen_ratio_select`, and scales the chosen eigenvectors by
     T^{delta/2}. A zero dimension comes back as an empty group.
 
-    ``tau`` short-circuits the threshold computation; when omitted it is
-    derived from the configured rule.
+    The threshold is :func:`threshold_tau` of this group's mock eigenvalue;
+    under the global rule, groups after the first read the first group's
+    stored mock instead.
     """
     n, t = dataset.n_units, dataset.n_periods
     if prior:
@@ -143,12 +142,8 @@ def extract_group(
     else:
         stacked = f_given_beta(dataset, beta0, config.d_max, config.delta)
     mock = mock_eigenvalue(dataset, beta0, stacked)
-    if tau is None:
-        if config.threshold_rule == THRESHOLD_PER_GROUP or not prior:
-            tau = threshold_tau(mock, n)
-        else:
-            tau = threshold_tau(mock_eigenvalue(dataset, beta0, f_given_beta(
-                dataset, beta0, config.d_max, config.delta)), n)
+    global_anchor = prior and config.threshold_rule == THRESHOLD_GLOBAL
+    tau = threshold_tau(prior[0].mock_eigenvalue if global_anchor else mock, n)
 
     u = _deflated_residual(dataset, beta0, prior)
     sigma = (u.T @ u) / n
@@ -191,18 +186,10 @@ def iterate_groups(
         When the hard stop fires before an empty group; the groups found
         so far ride on the exception.
     """
-    n, t = dataset.n_units, dataset.n_periods
-    f0 = f_given_beta(dataset, beta0, config.d_max, config.delta)
-    mock_first = mock_eigenvalue(dataset, beta0, f0)
-    tau_global = threshold_tau(mock_first, n)
-
+    t = dataset.n_periods
     groups: list[FactorGroup] = []
     while True:
-        if config.threshold_rule == THRESHOLD_PER_GROUP and groups:
-            tau = None  # recomputed inside extract_group from this group's mock
-        else:
-            tau = tau_global
-        group = extract_group(dataset, beta0, groups, config, tau=tau)
+        group = extract_group(dataset, beta0, groups, config)
         if group.dim == 0:
             return groups
         groups.append(group)

@@ -5,8 +5,6 @@ regressor projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotConvergedError, SingularLoadingsError, SingularZGramError
@@ -19,19 +17,7 @@ from .init_estimator import (
     fit_initial,
 )
 from .model import FactorGroup, IpcConfig, IpcFit, PanelDataset, validate
-from .numerics import RANK_RTOL, solve_spd
-
-
-@dataclass(frozen=True)
-class ZWeights:
-    """Cross-sectional projection weights and the weighted regressors.
-
-    ``a`` is the N x N projector built from the combined loadings;
-    ``z`` stacks the per-unit T x d_x matrices as N x T x d_x.
-    """
-
-    a: np.ndarray
-    z: np.ndarray
+from .numerics import check_gram_rank, solve_spd
 
 
 def loading_weights(loadings_combined: np.ndarray) -> np.ndarray:
@@ -51,9 +37,7 @@ def loading_weights(loadings_combined: np.ndarray) -> np.ndarray:
     if gamma.shape[1] == 0:
         return np.zeros((n, n))
     gram = gamma.T @ gamma
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= RANK_RTOL * eig[-1] or eig[-1] <= 0:
-        raise SingularLoadingsError("loading Gram matrix is numerically singular")
+    check_gram_rank(gram, SingularLoadingsError, "loading Gram matrix is numerically singular")
     a = gamma @ np.linalg.solve(gram, gamma.T)
     return 0.5 * (a + a.T)
 
@@ -64,12 +48,11 @@ def z_matrices(dataset: PanelDataset, f_hat: np.ndarray, a: np.ndarray) -> np.nd
     return mx - np.einsum("ij,jtd->itd", np.asarray(a, dtype=float), mx)
 
 
-def build_z_weights(
-    dataset: PanelDataset, f_hat: np.ndarray, loadings: np.ndarray
-) -> ZWeights:
-    """Convenience constructor pairing the projector with its Z matrices."""
-    a = loading_weights(loadings)
-    return ZWeights(a=a, z=z_matrices(dataset, f_hat, a))
+def residual_variances(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per-unit variances max(T^{-1} (y_i - X_i beta)' M_F (y_i - X_i beta), 0)."""
+    r = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
+    mr = annihilate_outcomes(r, np.asarray(f, dtype=float))
+    return np.maximum(np.sum(mr * r, axis=1) / dataset.n_periods, 0.0)
 
 
 def combine_groups(
@@ -105,17 +88,12 @@ def fit_final(
     n, t = dataset.n_units, dataset.n_periods
     f_hat, gamma_hat = combine_groups(groups, n, t)
     beta1 = beta_given_f(dataset, f_hat)
-    weights = build_z_weights(dataset, f_hat, gamma_hat)
+    z = z_matrices(dataset, f_hat, loading_weights(gamma_hat))
 
     mx = annihilate_regressors(dataset.x, f_hat)
-    z_gram = np.einsum("ntd,nte->de", weights.z, weights.z)
+    z_gram = np.einsum("ntd,nte->de", z, z)
     x_gram = np.einsum("ntd,nte->de", mx, mx)
     beta = init.beta0 + solve_spd(z_gram, x_gram @ (beta1 - init.beta0), SingularZGramError)
-
-    slope_resid = dataset.y - dataset.x @ beta
-    residuals = slope_resid - gamma_hat @ f_hat.T
-    projected = annihilate_outcomes(slope_resid, f_hat)
-    sigma2 = np.sum(projected * slope_resid, axis=1) / t
 
     return IpcFit(
         beta0=init.beta0,
@@ -126,8 +104,8 @@ def fit_final(
         total_factors=int(f_hat.shape[1]),
         factors_combined=f_hat,
         loadings_combined=gamma_hat,
-        residuals=residuals,
-        sigma2_by_unit=np.maximum(sigma2, 0.0),
+        residuals=dataset.y - dataset.x @ beta - gamma_hat @ f_hat.T,
+        sigma2_by_unit=residual_variances(dataset, beta, f_hat),
         als_iterations=init.iterations,
         converged=init.converged,
         factors_initial=init.f0,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EmptyGroupError,
     InvalidDomainError,
     IpcError,
@@ -19,9 +20,9 @@ from .errors import (
     SubPanelError,
     ZeroLoadingsError,
 )
-from .final_estimator import build_z_weights, fit_ipc
-from .init_estimator import annihilate_outcomes, annihilate_regressors, beta_given_f
-from .model import FactorGroup, IpcConfig, IpcFit, PanelDataset
+from .final_estimator import fit_ipc, loading_weights, residual_variances, z_matrices
+from .init_estimator import annihilate_regressors, beta_given_f
+from .model import FactorGroup, IpcFit, PanelDataset
 from .numerics import RANK_RTOL, chi2_sf, solve_spd
 
 
@@ -79,22 +80,23 @@ class JackknifeResult:
 
 def unit_variances(dataset: PanelDataset, fit: IpcFit) -> np.ndarray:
     """Per-unit residual variances T^{-1} (y_i - X_i beta)' M_F (y_i - X_i beta)."""
-    w = dataset.y - dataset.x @ fit.beta
-    mw = annihilate_outcomes(w, fit.factors_combined)
-    return np.maximum(np.sum(mw * w, axis=1) / dataset.n_periods, 0.0)
+    return residual_variances(dataset, fit.beta, fit.factors_combined)
 
 
-def _sandwich_covariance(z: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+def _wald(
+    dataset: PanelDataset, beta: np.ndarray, f: np.ndarray, z: np.ndarray, spec: WaldSpec
+) -> InferenceResult:
+    """Sandwich covariance and Wald test for a slope, its factors and its Z matrices."""
+    if spec.r_matrix.shape[1] != beta.shape[0]:
+        raise DimensionMismatchError(
+            f"R has {spec.r_matrix.shape[1]} columns but there are {beta.shape[0]} regressors"
+        )
+    sigma2 = residual_variances(dataset, beta, f)
     z_gram = np.einsum("ntd,nte->de", z, z)
     middle = np.einsum("n,ntd,nte->de", sigma2, z, z)
     half = solve_spd(z_gram, middle, SingularCovarianceError)
     cov = solve_spd(z_gram, half.T, SingularCovarianceError).T
-    return 0.5 * (cov + cov.T)
-
-
-def _wald_from_pieces(
-    beta: np.ndarray, cov: np.ndarray, spec: WaldSpec
-) -> InferenceResult:
+    cov = 0.5 * (cov + cov.T)
     gap = spec.r_matrix @ beta - spec.r_vector
     restricted = spec.r_matrix @ cov @ spec.r_matrix.T
     stat = float(gap @ solve_spd(restricted, gap, SingularCovarianceError))
@@ -113,13 +115,17 @@ def wald_test(dataset: PanelDataset, fit: IpcFit, spec: WaldSpec) -> InferenceRe
 
     The covariance is the self-normalizing sandwich
     (sum Z'Z)^{-1} (sum sigma2_i Z_i'Z_i) (sum Z'Z)^{-1} with the
-    loading-weighted Z matrices; the p-value uses the chi-squared tail
-    with r0 degrees of freedom.
+    loading-weighted Z matrices and the per-unit variances at ``fit.beta``;
+    the p-value uses the chi-squared tail with r0 degrees of freedom.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If R does not have one column per regressor.
     """
-    weights = build_z_weights(dataset, fit.factors_combined, fit.loadings_combined)
-    sigma2 = unit_variances(dataset, fit)
-    cov = _sandwich_covariance(weights.z, sigma2)
-    return _wald_from_pieces(fit.beta, cov, spec)
+    f = fit.factors_combined
+    z = z_matrices(dataset, f, loading_weights(fit.loadings_combined))
+    return _wald(dataset, fit.beta, f, z, spec)
 
 
 def wald_variants(
@@ -135,52 +141,42 @@ def wald_variants(
     initial slope with the d_max-dimensional initial factor estimate,
     ``"beta1"`` the factor-conditional slope with the selected factors,
     and ``"oracle"`` the least-squares slope treating ``truth_factors``
-    as known (with plain projected regressors in place of Z).
+    as known (with plain projected regressors in place of Z). The
+    covariance is the sandwich of :func:`wald_test` at that slope.
     """
-    n, t = dataset.n_units, dataset.n_periods
     if variant == "beta0":
-        f = fit.factors_initial
-        resid = dataset.y - dataset.x @ fit.beta0
-        gamma = t ** (-fit.config.delta) * (resid @ f)
-        weights = build_z_weights(dataset, f, gamma)
-        mw = annihilate_outcomes(resid, f)
-        sigma2 = np.maximum(np.sum(mw * resid, axis=1) / t, 0.0)
-        cov = _sandwich_covariance(weights.z, sigma2)
-        return _wald_from_pieces(fit.beta0, cov, spec)
-    if variant == "beta1":
-        weights = build_z_weights(dataset, fit.factors_combined, fit.loadings_combined)
-        resid = dataset.y - dataset.x @ fit.beta1
-        mw = annihilate_outcomes(resid, fit.factors_combined)
-        sigma2 = np.maximum(np.sum(mw * resid, axis=1) / t, 0.0)
-        cov = _sandwich_covariance(weights.z, sigma2)
-        return _wald_from_pieces(fit.beta1, cov, spec)
-    if variant == "oracle":
+        beta, f = fit.beta0, fit.factors_initial
+        resid = dataset.y - dataset.x @ beta
+        gamma = dataset.n_periods ** (-fit.config.delta) * (resid @ f)
+        z = z_matrices(dataset, f, loading_weights(gamma))
+    elif variant == "beta1":
+        beta, f = fit.beta1, fit.factors_combined
+        z = z_matrices(dataset, f, loading_weights(fit.loadings_combined))
+    elif variant == "oracle":
         if truth_factors is None:
             raise InvalidDomainError("the oracle variant needs the true factor matrix")
         f = np.asarray(truth_factors, dtype=float)
-        beta_oracle = beta_given_f(dataset, f)
+        beta = beta_given_f(dataset, f)
         z = annihilate_regressors(dataset.x, f)
-        resid = dataset.y - dataset.x @ beta_oracle
-        mw = annihilate_outcomes(resid, f)
-        sigma2 = np.maximum(np.sum(mw * resid, axis=1) / t, 0.0)
-        cov = _sandwich_covariance(z, sigma2)
-        return _wald_from_pieces(beta_oracle, cov, spec)
-    raise InvalidDomainError(f"unknown variant {variant!r}")
+    else:
+        raise InvalidDomainError(f"unknown variant {variant!r}")
+    return _wald(dataset, beta, f, z, spec)
 
 
 _SUB_PANELS = ("units_first_half", "units_second_half", "periods_odd", "periods_even")
 
 
-def jackknife_bias_correct(dataset: PanelDataset, config: IpcConfig) -> JackknifeResult:
+def jackknife_bias_correct(dataset: PanelDataset, fit: IpcFit) -> JackknifeResult:
     """Hybrid half-panel bias correction 3*beta - (sum of four halves)/2.
 
-    The four sub-estimates rerun the entire pipeline (including group
-    selection) on the first and second halves of the cross-section and on
-    the odd- and even-numbered time periods (1-based). Differing group
-    structures across sub-panels are accepted and reported.
+    ``fit`` is the full-panel fit of ``dataset``; its slope is the beta of
+    the correction and its config is reused for the halves. The four
+    sub-estimates rerun the entire pipeline (including group selection)
+    on the first and second halves of the cross-section and on the odd-
+    and even-numbered time periods (1-based). Differing group structures
+    across sub-panels are accepted and reported.
     """
     n, t = dataset.n_units, dataset.n_periods
-    full = fit_ipc(dataset, config)
     subsets = {
         "units_first_half": dataset.select_units(range(n // 2)),
         "units_second_half": dataset.select_units(range(n // 2, n)),
@@ -191,16 +187,16 @@ def jackknife_bias_correct(dataset: PanelDataset, config: IpcConfig) -> Jackknif
     dims = {}
     for name in _SUB_PANELS:
         try:
-            sub_fit = fit_ipc(subsets[name], config)
+            sub_fit = fit_ipc(subsets[name], fit.config)
         except (IpcError, np.linalg.LinAlgError) as exc:
             raise SubPanelError(name, exc) from exc
         estimates.append(sub_fit.beta)
         dims[name] = tuple(g.dim for g in sub_fit.groups)
     sub = np.asarray(estimates)
     return JackknifeResult(
-        beta_bc=3.0 * full.beta - 0.5 * sub.sum(axis=0),
+        beta_bc=3.0 * fit.beta - 0.5 * sub.sum(axis=0),
         sub_estimates=sub,
-        beta_full=full.beta,
+        beta_full=fit.beta,
         sub_group_dims=dims,
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MonotonicityError, NotConvergedError, SingularDesignError
 from .model import INIT_TWO_WAY_FE, IpcConfig, PanelDataset
-from .numerics import RANK_RTOL, annihilator_apply, top_sym_eigh
+from .numerics import annihilator_apply, check_gram_rank, top_sym_eigh
 
 #: absolute slack, relative to the starting objective, allowed per iteration
 MONOTONICITY_RTOL = 1e-10
@@ -63,9 +63,7 @@ def beta_given_f(dataset: PanelDataset, f: np.ndarray) -> np.ndarray:
     my = annihilate_outcomes(dataset.y, f)
     gram = np.einsum("ntd,nte->de", mx, mx)
     rhs = np.einsum("ntd,nt->d", mx, my)
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= RANK_RTOL * eig[-1] or eig[-1] <= 0:
-        raise SingularDesignError("projected regressors are numerically collinear")
+    check_gram_rank(gram, SingularDesignError, "projected regressors are numerically collinear")
     return np.linalg.solve(gram, rhs)
 
 
@@ -103,9 +101,7 @@ def _two_way_within_beta(dataset: PanelDataset) -> np.ndarray:
     )
     gram = np.einsum("ntd,nte->de", xd, xd)
     rhs = np.einsum("ntd,nt->d", xd, yd)
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= RANK_RTOL * eig[-1] or eig[-1] <= 0:
-        raise SingularDesignError("within-transformed regressors are collinear")
+    check_gram_rank(gram, SingularDesignError, "within-transformed regressors are collinear")
     return np.linalg.solve(gram, rhs)
 
 

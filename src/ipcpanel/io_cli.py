@@ -25,7 +25,6 @@ from .errors import (
     DuplicateCellError,
     IpcError,
     MissingColumnError,
-    NumericalError,
     UnbalancedPanelError,
 )
 from .final_estimator import fit_ipc
@@ -349,8 +348,6 @@ def _build_parser() -> _Parser:
 def _load_matrix_csv(path: str) -> np.ndarray:
     try:
         return np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
     except ValueError as exc:
         raise CsvParseError(0, f"{path}: {exc}") from exc
 
@@ -380,7 +377,7 @@ def _run_estimate(args) -> None:
             tests.append(
                 (name, wald_test(dataset, fit, WaldSpec(basis, np.zeros(1))))
             )
-    jackknife = jackknife_bias_correct(dataset, config) if args.jackknife else None
+    jackknife = jackknife_bias_correct(dataset, fit) if args.jackknife else None
     write_fit(fit, tests, args.out, jackknife=jackknife)
 
 
@@ -404,10 +401,10 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, IpcError, np.linalg.LinAlgError) as exc:
+    except (IpcError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -1,5 +1,5 @@
-"""Dense symmetric eigensolving, annihilator projections, and the
-chi-squared survival function.
+"""Dense symmetric eigensolving, the eigenvalue-ratio rank check, annihilator
+projections, SPD solves, and the chi-squared survival function.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.
@@ -8,7 +8,6 @@ multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -23,21 +22,8 @@ from .errors import (
 #: relative eigenvalue cutoff below which a Gram matrix counts as singular
 RANK_RTOL = 1e-12
 
-#: relative asymmetry tolerated by :func:`sym_eigh`
+#: relative asymmetry tolerated by :func:`top_sym_eigh`
 SYMMETRY_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SymEigen:
-    """Full spectrum of a symmetric matrix.
-
-    ``values`` is sorted descending; column ``k`` of ``vectors`` is the
-    unit eigenvector paired with ``values[k]``, sign-fixed so that its
-    entry of largest magnitude is positive (ties broken by lowest index).
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -62,26 +48,21 @@ def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def sym_eigh(a: np.ndarray) -> SymEigen:
-    """Full eigendecomposition of a symmetric matrix, descending order.
+def top_sym_eigh(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest ``k`` eigenpairs of a symmetric matrix, descending order.
+
+    Column ``j`` of the vectors is the unit eigenvector paired with
+    ``values[j]``, sign-fixed so that its entry of largest magnitude is
+    positive (ties broken by lowest index). ``k = m`` gives the full
+    spectrum.
 
     Raises
     ------
     NonSymmetricError
-        If the relative asymmetry exceeds ``SYMMETRY_RTOL``.
+        If the input is not square or its relative asymmetry exceeds
+        ``SYMMETRY_RTOL``.
     NonFiniteError
         If the matrix contains NaN or infinity.
-    """
-    a = _check_square_symmetric(a)
-    values, vectors = np.linalg.eigh(a)
-    order = np.arange(len(values))[::-1]  # eigh returns ascending
-    return SymEigen(values=values[order].copy(), vectors=_fix_signs(vectors[:, order]))
-
-
-def top_sym_eigh(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest ``k`` eigenpairs of a symmetric matrix, descending order.
-
-    Faster than :func:`sym_eigh` for k << m; uses the same sign convention.
     """
     a = _check_square_symmetric(a)
     m = a.shape[0]
@@ -89,20 +70,27 @@ def top_sym_eigh(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidDomainError(f"k={k} outside [0, {m}]")
     if k == 0:
         return np.empty(0), np.empty((m, 0))
-    if k == m:
-        full = sym_eigh(a)
-        return full.values, full.vectors
     values, vectors = scipy.linalg.eigh(a, subset_by_index=[m - k, m - 1])
     order = np.arange(len(values))[::-1]
     return values[order].copy(), _fix_signs(vectors[:, order])
+
+
+def check_gram_rank(gram: np.ndarray, error: type[Exception], message: str) -> None:
+    """Raise ``error(message)`` unless a symmetric Gram matrix has full rank.
+
+    Rank is judged by the eigenvalue ratio: the smallest eigenvalue must
+    exceed ``RANK_RTOL`` times the largest, which must be positive.
+    """
+    eig = np.linalg.eigvalsh(gram)
+    if eig[0] <= RANK_RTOL * eig[-1] or eig[-1] <= 0:
+        raise error(message)
 
 
 def annihilator_apply(f: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply M_F = I - F(F'F)^{-1}F' to the columns of ``v``.
 
     ``f`` is T x k with full column rank (k = 0 returns ``v`` unchanged),
-    ``v`` is T x n. Rank is judged by the eigenvalue ratio of F'F against
-    ``RANK_RTOL``.
+    ``v`` is T x n. Rank is judged by :func:`check_gram_rank`.
     """
     f = np.asarray(f, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -115,79 +103,31 @@ def annihilator_apply(f: np.ndarray, v: np.ndarray) -> np.ndarray:
             f"row mismatch: factors have {f.shape[0]} rows, values {v.shape[0]}"
         )
     gram = f.T @ f
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= RANK_RTOL * eig[-1] or eig[-1] <= 0:
-        raise RankDeficientError("factor matrix is numerically rank deficient")
+    check_gram_rank(gram, RankDeficientError, "factor matrix is numerically rank deficient")
     return v - f @ np.linalg.solve(gram, f.T @ v)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray, error: type[Exception]) -> np.ndarray:
     """Solve a x = b for symmetric positive-definite ``a``.
 
-    Raises ``error`` when the eigenvalue ratio signals a condition number
-    above 1/RANK_RTOL.
+    Raises ``error`` when :func:`check_gram_rank` finds ``a`` singular.
     """
     a = np.asarray(a, dtype=float)
-    eig = np.linalg.eigvalsh(a)
-    if eig[0] <= RANK_RTOL * eig[-1] or eig[-1] <= 0:
-        raise error("matrix is numerically singular")
+    check_gram_rank(a, error, "matrix is numerically singular")
     c, low = scipy.linalg.cho_factor(a)
     return scipy.linalg.cho_solve((c, low), b)
-
-
-# --- chi-squared survival function ------------------------------------------
-#
-# chi2_sf(x, k) = Q(k/2, x/2), the regularized upper incomplete gamma
-# function, computed dependency-free with the classic series /
-# continued-fraction split. The split point x = k keeps both branches in
-# their fast-converging regions.
-
-_GAMMA_EPS = 1e-15
-_GAMMA_MAX_ITER = 10_000
-
-
-def _lower_gamma_series(a: float, z: float) -> float:
-    """Regularized lower incomplete gamma P(a, z) by power series."""
-    term = 1.0 / a
-    total = term
-    for n in range(1, _GAMMA_MAX_ITER):
-        term *= z / (a + n)
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    log_prefactor = a * math.log(z) - z - math.lgamma(a)
-    return total * math.exp(log_prefactor)
-
-
-def _upper_gamma_cf(a: float, z: float) -> float:
-    """Regularized upper incomplete gamma Q(a, z) by Lentz continued fraction."""
-    tiny = 1e-300
-    b = z + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for n in range(1, _GAMMA_MAX_ITER):
-        an = -n * (n - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    log_prefactor = a * math.log(z) - z - math.lgamma(a)
-    return h * math.exp(log_prefactor)
 
 
 def chi2_sf(x: float, k: int) -> float:
     """Survival function P(chi-squared(k) > x).
 
-    Target absolute error 1e-10 over the usual testing range.
+    Q(k/2, x/2) is a finite sum for integer k. With z = x/2, even k gives
+    exp(-z) sum_{j<k/2} z^j / j!, and odd k gives
+    erfc(sqrt(z)) + exp(-z) sum_{j=1}^{(k-1)/2} z^(j-1/2) / Gamma(j+1/2).
+    With a0 = 0 for even and 1/2 for odd k, each term is the one before
+    times z / (a0 + j), so every step adds one rounding. Past x of about
+    1490 exp(-z) underflows to zero, which drops a tail that is negligible
+    unless k is close to x.
 
     Raises
     ------
@@ -199,10 +139,13 @@ def chi2_sf(x: float, k: int) -> float:
     x = float(x)
     if not math.isfinite(x) or x < 0:
         raise InvalidDomainError(f"chi2_sf requires x >= 0, got {x}")
-    a = 0.5 * k
     z = 0.5 * x
     if z == 0.0:  # includes subnormal x whose half underflows
         return 1.0
-    if x < k:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(a, z)))
-    return min(1.0, max(0.0, _upper_gamma_cf(a, z)))
+    a0 = 0.5 * (k % 2)
+    total = math.erfc(math.sqrt(z)) if k % 2 else 0.0
+    term = math.exp(-z) * z**a0 / math.gamma(a0 + 1.0)
+    for j in range(k // 2):
+        total += term
+        term *= z / (a0 + j + 1.0)
+    return min(1.0, total)

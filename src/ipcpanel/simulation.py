@@ -20,7 +20,7 @@ from .final_estimator import fit_ipc
 from .init_estimator import beta_given_f
 from .inference import WaldSpec, wald_test, wald_variants
 from .model import IpcConfig, PanelDataset, TruthSpec
-from .numerics import RANK_RTOL
+from .numerics import check_gram_rank
 
 #: estimator labels used in the RMSE and size maps
 ESTIMATORS = ("beta0", "beta1", "beta", "oracle")
@@ -114,9 +114,7 @@ def projector_distance(f_hat: np.ndarray, f_true: np.ndarray) -> float:
             raise RankDeficientError(f"expected a 2-d matrix, got shape {f.shape}")
         if f.shape[1] == 0:
             return f
-        gram_eig = np.linalg.eigvalsh(f.T @ f)
-        if gram_eig[0] <= RANK_RTOL * gram_eig[-1] or gram_eig[-1] <= 0:
-            raise RankDeficientError("matrix is numerically rank deficient")
+        check_gram_rank(f.T @ f, RankDeficientError, "matrix is numerically rank deficient")
         return np.linalg.qr(f)[0]
 
     q_hat, q_true = basis(f_hat), basis(f_true)
@@ -131,7 +129,11 @@ def projector_distance(f_hat: np.ndarray, f_true: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class McResult:
-    """Aggregates over successful replications."""
+    """Aggregates over successful replications.
+
+    ``failure_messages`` names each failed replication and its error, in
+    replication order.
+    """
 
     reps: int
     n_failures: int
@@ -151,6 +153,7 @@ class McResult:
             "rmse_beta": dict(self.rmse_beta),
             "rmse_projector": self.rmse_projector,
             "wald_size": dict(self.wald_size),
+            "failure_messages": list(self.failure_messages),
         }
 
 

@@ -242,7 +242,7 @@ def test_criterion_09_als_monotonicity():
 
 def test_criterion_10_jackknife_identity():
     ds, _ = generate_dgp1(Dgp1Spec(28, 28, seed=SEED + 4000))
-    out = jackknife_bias_correct(ds, dataclasses.replace(MC_CONFIG, d_max=5))
+    out = jackknife_bias_correct(ds, fit_ipc(ds, dataclasses.replace(MC_CONFIG, d_max=5)))
     identical = np.array_equal(
         out.beta_bc, 3.0 * out.beta_full - 0.5 * out.sub_estimates.sum(axis=0)
     )

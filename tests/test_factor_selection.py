@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipcpanel import factor_selection
 from ipcpanel.errors import (
     DegenerateThresholdError,
     GroupBudgetExceededError,
@@ -17,7 +18,9 @@ from ipcpanel.factor_selection import (
     mock_eigenvalue,
     threshold_tau,
 )
+from ipcpanel.init_estimator import fit_initial
 from ipcpanel.model import IpcConfig, PanelDataset
+from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
 from conftest import dense_annihilator, dense_projector, random_panel
 
@@ -257,3 +260,45 @@ def test_budget_exceeded_reports_partial_groups():
         iterate_groups(ds, beta, IpcConfig(d_max=2))
     assert len(err.value.groups) == 3
     assert all(g.dim == 1 for g in err.value.groups)
+
+
+@pytest.fixture(scope="module")
+def dgp1_long():
+    ds, _ = generate_dgp1(Dgp1Spec(40, 200, seed=1))
+    return ds, fit_initial(ds, IpcConfig()).beta0
+
+
+def record_calls(monkeypatch, name):
+    """Replace factor_selection.<name> by a wrapper that logs its arguments."""
+    calls = []
+    original = getattr(factor_selection, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(factor_selection, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("rule", ["global", "pergroup"])
+def test_threshold_anchor_follows_rule(monkeypatch, dgp1_long, rule):
+    ds, beta0 = dgp1_long
+    calls = record_calls(monkeypatch, "threshold_tau")
+    groups = iterate_groups(ds, beta0, IpcConfig(threshold_rule=rule))
+    anchors = [args[0] for args in calls]
+    mocks = [g.mock_eigenvalue for g in groups]
+    assert [g.dim for g in groups] == [1, 1, 1]
+    assert len(set(mocks)) == 3  # the two rules anchor differently here
+    if rule == "global":
+        assert anchors and all(a == groups[0].mock_eigenvalue for a in anchors)
+    else:
+        assert anchors[: len(groups)] == mocks
+
+
+@pytest.mark.parametrize("rule", ["global", "pergroup"])
+def test_one_initial_factor_estimate_per_extraction(monkeypatch, dgp1_long, rule):
+    ds, beta0 = dgp1_long
+    calls = record_calls(monkeypatch, "f_given_beta")
+    iterate_groups(ds, beta0, IpcConfig(threshold_rule=rule))
+    assert len(calls) == 1

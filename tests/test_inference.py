@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipcpanel import inference
 from ipcpanel.errors import (
+    DimensionMismatchError,
     EmptyGroupError,
     InvalidDomainError,
     RankDeficientRError,
@@ -115,6 +117,15 @@ def test_rank_deficient_restriction_rejected():
         WaldSpec(np.ones((3, 2)), np.zeros(3))
 
 
+def test_restriction_width_must_match_regressors(fitted):
+    ds, truth, fit = fitted
+    spec = WaldSpec(np.array([[1.0, 0.0, -1.0]]), np.zeros(1))
+    with pytest.raises(DimensionMismatchError):
+        wald_test(ds, fit, spec)
+    with pytest.raises(DimensionMismatchError):
+        wald_variants(ds, fit, spec, "oracle", truth_factors=truth.factors_true)
+
+
 def test_variant_beta1_coincides_when_estimates_match(fitted):
     ds, truth, fit = fitted
     degenerate = dataclasses.replace(fit, beta=fit.beta1.copy())
@@ -177,12 +188,28 @@ def test_p_value_monotone_in_statistic(w, step, dof):
 def test_jackknife_identity_and_splits():
     ds, _ = generate_dgp1(Dgp1Spec(24, 25, seed=2))
     config = IpcConfig(d_max=5)
-    out = jackknife_bias_correct(ds, config)
+    out = jackknife_bias_correct(ds, fit_ipc(ds, config))
     recomputed = 3.0 * out.beta_full - 0.5 * out.sub_estimates.sum(axis=0)
     assert np.array_equal(out.beta_bc, recomputed)
     assert set(out.sub_group_dims) == {
         "units_first_half", "units_second_half", "periods_odd", "periods_even",
     }
+
+
+def test_jackknife_reuses_the_full_fit(monkeypatch):
+    ds, _ = generate_dgp1(Dgp1Spec(24, 25, seed=2))
+    fit = fit_ipc(ds, IpcConfig(d_max=5))
+    fitted_panels = []
+
+    def counting_fit(dataset, config=None):
+        fitted_panels.append((dataset.n_units, dataset.n_periods))
+        assert config is fit.config
+        return fit_ipc(dataset, config)
+
+    monkeypatch.setattr(inference, "fit_ipc", counting_fit)
+    out = inference.jackknife_bias_correct(ds, fit)
+    assert fitted_panels == [(12, 25), (12, 25), (24, 13), (24, 12)]
+    assert np.array_equal(out.beta_full, fit.beta)
 
 
 def test_odd_even_split_bookkeeping():
@@ -207,7 +234,7 @@ def test_sub_panel_failure_is_tagged():
     # d_max valid on the full panel but too large for the unit halves
     config = IpcConfig(d_max=10)
     with pytest.raises(SubPanelError) as err:
-        jackknife_bias_correct(ds, config)
+        jackknife_bias_correct(ds, fit_ipc(ds, config))
     assert err.value.sub_panel == "units_first_half"
 
 

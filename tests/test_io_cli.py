@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+from ipcpanel import simulation
 from ipcpanel.errors import (
     CsvParseError,
     DuplicateCellError,
     MissingColumnError,
+    SingularDesignError,
     UnbalancedPanelError,
 )
 from ipcpanel.final_estimator import fit_ipc
@@ -177,6 +179,30 @@ def test_mc_result_validates_against_shipped_schema(tmp_path):
     assert len(table) == 2
 
 
+def test_mc_result_names_failed_replications(tmp_path, monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+    import importlib.resources as resources
+
+    spec = Dgp1Spec(12, 12, seed=33)
+    config = IpcConfig(d_max=3)
+
+    def failing_draw(rep_spec):
+        if rep_spec.seed == spec.seed + 5:
+            raise SingularDesignError("injected")
+        return generate_dgp1(rep_spec)
+
+    monkeypatch.setattr(simulation, "generate_dgp1", failing_draw)
+    result = run_monte_carlo(spec, 100, config)
+    write_mc_result(result, spec, config, str(tmp_path))
+    doc = json.loads((tmp_path / "mc_result.json").read_text())
+    schema = json.loads(
+        (resources.files("ipcpanel") / "schemas" / "mc_result.schema.json").read_text()
+    )
+    jsonschema.validate(doc, schema)
+    assert doc["result"]["n_failures"] == 1
+    assert doc["result"]["failure_messages"] == ["rep 5: SingularDesignError: injected"]
+
+
 def test_no_factor_fit_writes_header_only(tmp_path):
     rng = np.random.default_rng(41)
     x = rng.normal(size=(20, 20, 1))
@@ -254,6 +280,20 @@ def test_exit_codes(tmp_path):
     )
     assert out.returncode == 3
     assert not (tmp_path / "o2").exists()
+    # data error: a restriction matrix with more columns than regressors
+    ds, _ = generate_dgp1(Dgp1Spec(16, 17, seed=71))
+    path = tmp_path / "panel.csv"
+    dataset_to_csv(path, ds)
+    np.savetxt(tmp_path / "R.csv", np.array([[1.0, -1.0, 0.0]]), delimiter=",")
+    np.savetxt(tmp_path / "r.csv", np.zeros((1, 1)), delimiter=",")
+    out = run_cli(
+        "estimate", "--data", str(path), "--x-cols", "x1,x2", "--dmax", "4",
+        "--wald-R", str(tmp_path / "R.csv"), "--wald-r", str(tmp_path / "r.csv"),
+        "--out", str(tmp_path / "o3"),
+    )
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "o3").exists()
 
 
 def test_usage_error_in_process():

@@ -11,7 +11,7 @@ from ipcpanel.errors import (
     NonSymmetricError,
     RankDeficientError,
 )
-from ipcpanel.numerics import annihilator_apply, chi2_sf, sym_eigh, top_sym_eigh
+from ipcpanel.numerics import annihilator_apply, chi2_sf, top_sym_eigh
 
 
 def random_symmetric(seed, m=4, scale=1.0):
@@ -20,21 +20,26 @@ def random_symmetric(seed, m=4, scale=1.0):
     return 0.5 * (a + a.T)
 
 
-# --- sym_eigh ----------------------------------------------------------------
+def full_eigh(a):
+    """Full spectrum through the library's eigensolver, k = m."""
+    return top_sym_eigh(a, np.shape(a)[0])
+
+
+# --- top_sym_eigh ------------------------------------------------------------
 
 def test_identity_spectrum():
-    out = sym_eigh(np.eye(3))
-    assert np.allclose(out.values, 1.0)
-    assert np.allclose(out.vectors.T @ out.vectors, np.eye(3), atol=1e-12)
+    values, vectors = full_eigh(np.eye(3))
+    assert np.allclose(values, 1.0)
+    assert np.allclose(vectors.T @ vectors, np.eye(3), atol=1e-12)
 
 
 def test_diagonal_spectrum_sorted_descending():
-    out = sym_eigh(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(out.values, [3.0, 2.0, 1.0])
+    values, vectors = full_eigh(np.diag([3.0, 1.0, 2.0]))
+    assert np.allclose(values, [3.0, 2.0, 1.0])
     # permuted identity columns, sign-fixed to +1
     expected = np.zeros((3, 3))
     expected[0, 0] = expected[2, 1] = expected[1, 2] = 1.0
-    assert np.allclose(out.vectors, expected, atol=1e-12)
+    assert np.allclose(vectors, expected, atol=1e-12)
 
 
 def bisect_eigenvalues(a, tol=1e-12):
@@ -64,49 +69,47 @@ def test_random_4x4_matches_determinant_bisection_oracle():
     a = random_symmetric(42, m=4)
     expected = bisect_eigenvalues(a)
     assert len(expected) == 4  # distinct roots for a generic draw
-    out = sym_eigh(a)
-    assert np.allclose(out.values, expected, atol=1e-8)
+    values, _ = full_eigh(a)
+    assert np.allclose(values, expected, atol=1e-8)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 8))
 def test_reconstruction_trace_orthonormality(seed, m):
     a = random_symmetric(seed, m=m)
-    out = sym_eigh(a)
+    values, vectors = full_eigh(a)
     norm = max(np.linalg.norm(a), 1e-30)
-    assert np.linalg.norm(a - out.vectors @ np.diag(out.values) @ out.vectors.T) <= 1e-8 * norm
-    assert abs(np.trace(a) - out.values.sum()) <= 1e-8 * norm
-    assert np.linalg.norm(out.vectors.T @ out.vectors - np.eye(m)) <= 1e-10 * m
-    assert np.all(np.diff(out.values) <= 1e-12 * norm)
+    assert np.linalg.norm(a - vectors @ np.diag(values) @ vectors.T) <= 1e-8 * norm
+    assert abs(np.trace(a) - values.sum()) <= 1e-8 * norm
+    assert np.linalg.norm(vectors.T @ vectors - np.eye(m)) <= 1e-10 * m
+    assert np.all(np.diff(values) <= 1e-12 * norm)
     for k in range(m):
-        assert a @ out.vectors[:, k] == pytest.approx(
-            out.values[k] * out.vectors[:, k], abs=1e-8 * norm
-        )
+        assert a @ vectors[:, k] == pytest.approx(values[k] * vectors[:, k], abs=1e-8 * norm)
 
 
 def test_sign_convention_is_deterministic():
     a = random_symmetric(7, m=5)
-    first, second = sym_eigh(a), sym_eigh(a.copy())
-    assert np.array_equal(first.vectors, second.vectors)
-    idx = np.argmax(np.abs(first.vectors), axis=0)
-    assert np.all(first.vectors[idx, np.arange(5)] > 0)
+    (_, first), (_, second) = full_eigh(a), full_eigh(a.copy())
+    assert np.array_equal(first, second)
+    idx = np.argmax(np.abs(first), axis=0)
+    assert np.all(first[idx, np.arange(5)] > 0)
 
 
 def test_top_sym_eigh_matches_full():
     a = random_symmetric(3, m=10)
     values, vectors = top_sym_eigh(a, 4)
-    full = sym_eigh(a)
-    assert np.allclose(values, full.values[:4], atol=1e-10)
-    assert np.allclose(np.abs(vectors.T @ full.vectors[:, :4]), np.eye(4), atol=1e-8)
+    full_values, full_vectors = np.linalg.eigh(a)  # ascending
+    assert np.allclose(values, full_values[::-1][:4], atol=1e-10)
+    assert np.allclose(np.abs(vectors.T @ full_vectors[:, ::-1][:, :4]), np.eye(4), atol=1e-8)
 
 
 def test_rejects_asymmetric_and_nonfinite():
     with pytest.raises(NonSymmetricError):
-        sym_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        full_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(NonFiniteError):
-        sym_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        full_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(NonSymmetricError):
-        sym_eigh(np.ones((2, 3)))
+        full_eigh(np.ones((2, 3)))
 
 
 # --- annihilator_apply --------------------------------------------------------
