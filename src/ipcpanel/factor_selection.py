@@ -15,7 +15,7 @@ from .errors import (
     GroupBudgetExceededError,
     InvalidEigenvaluesError,
 )
-from .init_estimator import annihilate_outcomes, f_given_beta
+from .init_estimator import f_given_beta, ssr_value
 from .model import THRESHOLD_GLOBAL, FactorGroup, IpcConfig, PanelDataset
 from .numerics import top_sym_eigh
 
@@ -105,9 +105,7 @@ def mock_eigenvalue(
     ``prior_factors`` is T x k (possibly empty); for the first group the
     caller passes the full initial factor estimate.
     """
-    r = dataset.y - dataset.x @ np.asarray(beta0, dtype=float)
-    mr = annihilate_outcomes(r, np.asarray(prior_factors, dtype=float))
-    return max(float(np.sum(mr * r)) / dataset.n_units, 0.0)
+    return max(ssr_value(dataset, beta0, prior_factors) / dataset.n_units, 0.0)
 
 
 def _deflated_residual(

@@ -1,13 +1,18 @@
 """Step 3: the corrected slope estimator built from the initial slope, the
-slope conditional on the extracted factors, and loading-weighted
-regressor projections.
+slope conditional on the extracted factors, and the regressors projected
+off the factor span in time and off the loading span across units.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotConvergedError, SingularLoadingsError, SingularZGramError
+from .errors import (
+    NotConvergedError,
+    RankDeficientError,
+    SingularLoadingsError,
+    SingularZGramError,
+)
 from .factor_selection import iterate_groups
 from .init_estimator import (
     InitResult,
@@ -17,7 +22,7 @@ from .init_estimator import (
     fit_initial,
 )
 from .model import FactorGroup, IpcConfig, IpcFit, PanelDataset, validate
-from .numerics import check_gram_rank, solve_spd
+from .numerics import annihilator_apply, check_gram_rank, solve_spd
 
 
 def loading_weights(loadings_combined: np.ndarray) -> np.ndarray:
@@ -42,10 +47,24 @@ def loading_weights(loadings_combined: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def z_matrices(dataset: PanelDataset, f_hat: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Z_i = M_F X_i - sum_j M_F X_j a_ij for every unit, as N x T x d_x."""
+def z_matrices(dataset: PanelDataset, f_hat: np.ndarray, loadings: np.ndarray) -> np.ndarray:
+    """Z_i = M_F X_i - sum_j a_ij M_F X_j for every unit, as N x T x d_x.
+
+    ``a`` is the projector onto the span of ``loadings`` (N x k, see
+    :func:`loading_weights`), so Z is M_Gamma applied across units to the
+    stacked M_F X, and the N x N ``a`` itself is never formed.
+
+    Raises
+    ------
+    SingularLoadingsError
+        If the loading Gram matrix is numerically singular.
+    """
     mx = annihilate_regressors(dataset.x, np.asarray(f_hat, dtype=float))
-    return mx - np.einsum("ij,jtd->itd", np.asarray(a, dtype=float), mx)
+    try:
+        z = annihilator_apply(loadings, mx.reshape(mx.shape[0], -1))
+    except RankDeficientError as exc:
+        raise SingularLoadingsError("loading Gram matrix is numerically singular") from exc
+    return z.reshape(mx.shape)
 
 
 def residual_variances(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -88,7 +107,7 @@ def fit_final(
     n, t = dataset.n_units, dataset.n_periods
     f_hat, gamma_hat = combine_groups(groups, n, t)
     beta1 = beta_given_f(dataset, f_hat)
-    z = z_matrices(dataset, f_hat, loading_weights(gamma_hat))
+    z = z_matrices(dataset, f_hat, gamma_hat)
 
     mx = annihilate_regressors(dataset.x, f_hat)
     z_gram = np.einsum("ntd,nte->de", z, z)

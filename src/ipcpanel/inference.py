@@ -20,7 +20,7 @@ from .errors import (
     SubPanelError,
     ZeroLoadingsError,
 )
-from .final_estimator import fit_ipc, loading_weights, residual_variances, z_matrices
+from .final_estimator import fit_ipc, residual_variances, z_matrices
 from .init_estimator import annihilate_regressors, beta_given_f
 from .model import FactorGroup, IpcFit, PanelDataset
 from .numerics import RANK_RTOL, chi2_sf, solve_spd
@@ -124,7 +124,7 @@ def wald_test(dataset: PanelDataset, fit: IpcFit, spec: WaldSpec) -> InferenceRe
         If R does not have one column per regressor.
     """
     f = fit.factors_combined
-    z = z_matrices(dataset, f, loading_weights(fit.loadings_combined))
+    z = z_matrices(dataset, f, fit.loadings_combined)
     return _wald(dataset, fit.beta, f, z, spec)
 
 
@@ -148,10 +148,10 @@ def wald_variants(
         beta, f = fit.beta0, fit.factors_initial
         resid = dataset.y - dataset.x @ beta
         gamma = dataset.n_periods ** (-fit.config.delta) * (resid @ f)
-        z = z_matrices(dataset, f, loading_weights(gamma))
+        z = z_matrices(dataset, f, gamma)
     elif variant == "beta1":
         beta, f = fit.beta1, fit.factors_combined
-        z = z_matrices(dataset, f, loading_weights(fit.loadings_combined))
+        z = z_matrices(dataset, f, fit.loadings_combined)
     elif variant == "oracle":
         if truth_factors is None:
             raise InvalidDomainError("the oracle variant needs the true factor matrix")

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,10 +347,18 @@ def _build_parser() -> _Parser:
 
 
 def _load_matrix_csv(path: str) -> np.ndarray:
+    """Read a non-empty, all-finite numeric matrix from a headerless CSV."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty file
+            matrix = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise CsvParseError(0, f"{path}: {exc}") from exc
+    if matrix.size == 0:
+        raise CsvParseError(0, f"{path} holds no numbers")
+    if not np.all(np.isfinite(matrix)):
+        raise CsvParseError(0, f"{path} holds a non-finite value")
+    return matrix
 
 
 def _run_estimate(args) -> None:
@@ -361,8 +370,11 @@ def _run_estimate(args) -> None:
     )
     if (args.wald_r_matrix is None) != (args.wald_r_vector is None):
         raise _UsageError("--wald-R and --wald-r must be given together")
+    try:
+        config = IpcConfig(delta=args.delta, d_max=args.dmax, threshold_rule=args.tau_rule)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     dataset = load_long_csv(args.data, schema)
-    config = IpcConfig(delta=args.delta, d_max=args.dmax, threshold_rule=args.tau_rule)
     fit = fit_ipc(dataset, config)
     if args.wald_r_matrix is not None:
         r_matrix = _load_matrix_csv(args.wald_r_matrix)
@@ -384,6 +396,8 @@ def _run_estimate(args) -> None:
 def _run_simulate(args) -> None:
     if not args.dgp1:
         raise _UsageError("simulate requires --dgp1 (the only built-in design)")
+    if args.n < 2 or args.t < 2 or args.reps < 1 or args.seed < 0:
+        raise _UsageError("simulate needs --n >= 2, --t >= 2, --reps >= 1 and --seed >= 0")
     spec = Dgp1Spec(n_units=args.n, n_periods=args.t, seed=args.seed)
     config = IpcConfig()
     result = run_monte_carlo(spec, args.reps, config, parallelism=args.threads)

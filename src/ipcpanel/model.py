@@ -143,8 +143,8 @@ class IpcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not np.isfinite(self.delta) or self.delta < 0:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
         if self.als_tol <= 0:

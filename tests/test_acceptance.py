@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ipcpanel.factor_selection import mock_eigenvalue
-from ipcpanel.final_estimator import fit_ipc, loading_weights, z_matrices
+from ipcpanel.final_estimator import fit_ipc, z_matrices
 from ipcpanel.inference import (
     jackknife_bias_correct,
     strength_gap_diagnostic,
@@ -186,7 +186,7 @@ def test_criterion_08_oracle_equivalence():
         # loading-weighted regressors: dense double loop
         gamma = rng.normal(size=(n, max(f.shape[1], 1)))
         a = gamma @ np.linalg.inv(gamma.T @ gamma) @ gamma.T
-        z = z_matrices(ds, f, a)
+        z = z_matrices(ds, f, gamma)
         for i in range(n):
             dense = m @ ds.x[i] - sum(a[i, j] * (m @ ds.x[j]) for j in range(n))
             worst = max(worst, np.abs(z[i] - dense).max())

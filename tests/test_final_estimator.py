@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ipcpanel.errors import SingularLoadingsError
+from ipcpanel.errors import RankDeficientError, SingularLoadingsError
 from ipcpanel.factor_selection import iterate_groups
 from ipcpanel.final_estimator import (
     fit_final,
@@ -59,7 +59,7 @@ def test_collinear_loadings_rejected():
 
 def test_no_projection_no_weights_returns_regressors(tiny_panel):
     t = tiny_panel.n_periods
-    z = z_matrices(tiny_panel, np.zeros((t, 0)), np.zeros((6, 6)))
+    z = z_matrices(tiny_panel, np.zeros((t, 0)), np.zeros((6, 0)))
     assert np.allclose(z, tiny_panel.x)
 
 
@@ -85,7 +85,19 @@ def test_matches_dense_projector_oracle():
         for j in range(n):
             acc = acc - (m @ x[j]) * a[i, j]
         expected[i] = acc
-    assert np.allclose(z_matrices(ds, f, a), expected, atol=1e-10)
+    assert np.allclose(z_matrices(ds, f, gamma), expected, atol=1e-10)
+
+
+def test_z_collinear_loadings_rejected(tiny_panel):
+    t = tiny_panel.n_periods
+    with pytest.raises(SingularLoadingsError):
+        z_matrices(tiny_panel, np.zeros((t, 0)), np.ones((6, 2)))
+
+
+def test_z_singular_factors_keep_their_error(tiny_panel):
+    t = tiny_panel.n_periods
+    with pytest.raises(RankDeficientError):
+        z_matrices(tiny_panel, np.ones((t, 2)), np.eye(6)[:, :2])
 
 
 def test_z_orthogonal_to_factors():
@@ -93,9 +105,7 @@ def test_z_orthogonal_to_factors():
     rng = np.random.default_rng(4)
     f = rng.normal(size=(10, 2))
     gamma = rng.normal(size=(8, 2))
-    from ipcpanel.final_estimator import loading_weights as lw
-
-    z = z_matrices(ds, f, lw(gamma))
+    z = z_matrices(ds, f, gamma)
     for i in range(8):
         assert np.linalg.norm(f.T @ z[i]) <= 1e-6 * np.linalg.norm(ds.x[i])
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ipcpanel.model import FactorGroup, IpcConfig, PanelDataset
 from ipcpanel.numerics import chi2_sf
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
-from conftest import dense_annihilator
+from conftest import dense_annihilator, random_panel
 
 
 def make_group(index, loadings, t):
@@ -181,6 +182,27 @@ def test_regressor_rescaling_leaves_wald_invariant():
 @given(st.floats(0.0, 50.0), st.floats(0.01, 10.0), st.integers(1, 6))
 def test_p_value_monotone_in_statistic(w, step, dof):
     assert chi2_sf(w + step, dof) <= chi2_sf(w, dof) + 1e-12
+
+
+def test_memory_stays_linear_in_units():
+    """No N x N intermediate: each traced peak stays below a quarter of one."""
+    ds, *_ = random_panel(7, n=3000, t=12)
+    bound = ds.n_units**2 * 8 / 4
+    spec = WaldSpec(np.eye(2), np.zeros(2))
+    tracemalloc.start()
+    try:
+        fit = fit_ipc(ds, IpcConfig(d_max=3))
+        peaks = {"fit_ipc": tracemalloc.get_traced_memory()[1]}
+        tracemalloc.reset_peak()
+        wald_test(ds, fit, spec)
+        peaks["wald_test"] = tracemalloc.get_traced_memory()[1]
+        for variant in ("beta0", "beta1"):
+            tracemalloc.reset_peak()
+            wald_variants(ds, fit, spec, variant)
+            peaks[variant] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(peak < bound for peak in peaks.values()), (peaks, bound)
 
 
 # --- jackknife -----------------------------------------------------------------------

@@ -294,6 +294,46 @@ def test_exit_codes(tmp_path):
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "o3").exists()
+    # data error: a restriction file that is empty or holds a non-finite value
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "nan.csv").write_text("nan\n")
+    np.savetxt(tmp_path / "R1.csv", np.array([[1.0, -1.0]]), delimiter=",")
+    (tmp_path / "R_nan.csv").write_text("1,nan\n")
+    for name, r_matrix, r_vector in [
+        ("r_nan", "R1.csv", "nan.csv"),
+        ("R_nan", "R_nan.csv", "r.csv"),
+        ("R_empty", "empty.csv", "r.csv"),
+    ]:
+        out = run_cli(
+            "estimate", "--data", str(path), "--x-cols", "x1,x2", "--dmax", "4",
+            "--wald-R", str(tmp_path / r_matrix), "--wald-r", str(tmp_path / r_vector),
+            "--out", str(tmp_path / name),
+        )
+        assert out.returncode == 2, (name, out.stderr)
+        assert "Traceback" not in out.stderr, name
+        assert not (tmp_path / name).exists(), name
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("estimate", "--dmax", "0"),
+        ("estimate", "--delta", "-1"),
+        ("estimate", "--delta", "nan"),
+        ("estimate", "--delta", "inf"),
+        ("simulate", "--dgp1", "--n", "-5", "--t", "8", "--reps", "1"),
+        ("simulate", "--dgp1", "--n", "8", "--t", "8", "--reps", "0"),
+        ("simulate", "--dgp1", "--n", "8", "--t", "8", "--reps", "1", "--seed", "-1"),
+    ],
+)
+def test_bad_numbers_are_usage_errors(tmp_path, capsys, args):
+    path = tmp_path / "panel.csv"
+    write_rows(path, minimal_rows())
+    if args[0] == "estimate":
+        args += ("--data", str(path), "--x-cols", "x1")
+    assert cli_main([*args, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_usage_error_in_process():

@@ -83,6 +83,9 @@ def test_subset_selection_keeps_labels_aligned():
 def test_config_field_validation():
     with pytest.raises(ValueError):
         IpcConfig(delta=-0.5)
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            IpcConfig(delta=delta)
     with pytest.raises(ValueError):
         IpcConfig(d_max=0)
     with pytest.raises(ValueError):
