@@ -57,7 +57,7 @@ def main(argv=None):
         )
     if args.out:
         with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
+            writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(_TABLE_COLUMNS)
             writer.writerows(rows)
         print(f"wrote {args.out}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MonotonicityError, NotConvergedError, SingularDesignError
-from .model import INIT_TWO_WAY_FE, IpcConfig, PanelDataset
+from .model import IpcConfig, PanelDataset
 from .numerics import annihilator_apply, check_gram_rank, top_sym_eigh
 
 #: absolute slack, relative to the starting objective, allowed per iteration
@@ -89,23 +89,18 @@ def ssr_value(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> float:
     return float(np.sum(mw * w))
 
 
-def _two_way_within_beta(dataset: PanelDataset) -> np.ndarray:
-    """Two-way fixed effects (within) estimator as an alternative start."""
-    y, x = dataset.y, dataset.x
-    yd = y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
-    xd = (
-        x
-        - x.mean(axis=1, keepdims=True)
-        - x.mean(axis=0, keepdims=True)
-        + x.mean(axis=(0, 1), keepdims=True)
-    )
-    gram = np.einsum("ntd,nte->de", xd, xd)
-    rhs = np.einsum("ntd,nt->d", xd, yd)
-    check_gram_rank(gram, SingularDesignError, "within-transformed regressors are collinear")
-    return np.linalg.solve(gram, rhs)
+def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
+    """Alternate the two closed-form updates, starting from pooled OLS,
+    until a stopping rule fires.
 
-
-def _run_als(dataset, beta, f, config) -> tuple[np.ndarray, np.ndarray, list, int, bool]:
+    Raises
+    ------
+    NotConvergedError
+        When the iteration cap is hit; the partial result rides on the
+        exception for callers that want it anyway.
+    """
+    beta = beta_given_f(dataset, np.zeros((dataset.n_periods, 0)))
+    f = f_given_beta(dataset, beta, config.d_max, config.delta)
     path = [ssr_value(dataset, beta, f)]
     converged = False
     iterations = 0
@@ -125,42 +120,6 @@ def _run_als(dataset, beta, f, config) -> tuple[np.ndarray, np.ndarray, list, in
         ):
             converged = True
             break
-    return beta, f, path, iterations, converged
-
-
-def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
-    """Alternate the two closed-form updates until a stopping rule fires.
-
-    The deterministic start is pooled OLS (or the two-way within
-    estimator); ``config.n_starts > 1`` adds seeded random factor starts
-    and keeps the run with the lowest final objective.
-
-    Raises
-    ------
-    NotConvergedError
-        When the iteration cap is hit; the partial result rides on the
-        exception for callers that want it anyway.
-    """
-    starts = []
-    if config.init_rule == INIT_TWO_WAY_FE:
-        beta_init = _two_way_within_beta(dataset)
-    else:
-        beta_init = beta_given_f(dataset, np.zeros((dataset.n_periods, 0)))
-    starts.append((beta_init, f_given_beta(dataset, beta_init, config.d_max, config.delta)))
-
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    for _ in range(config.n_starts - 1):
-        q, _ = np.linalg.qr(rng.standard_normal((dataset.n_periods, config.d_max)))
-        f_rand = dataset.n_periods ** (config.delta / 2.0) * q
-        beta_rand = beta_given_f(dataset, f_rand)
-        starts.append((beta_rand, f_given_beta(dataset, beta_rand, config.d_max, config.delta)))
-
-    best = None
-    for beta, f in starts:
-        run = _run_als(dataset, beta, f, config)
-        if best is None or run[2][-1] < best[2][-1]:
-            best = run
-    beta, f, path, iterations, converged = best
     result = InitResult(
         beta0=beta,
         f0=f,

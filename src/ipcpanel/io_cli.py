@@ -227,17 +227,15 @@ def fit_to_json_dict(
 
 def write_fit(
     fit: IpcFit,
-    inference: InferenceResult | list[tuple[str, InferenceResult]],
+    inference: list[tuple[str, InferenceResult]],
     out_dir: str,
     jackknife: JackknifeResult | None = None,
 ) -> None:
     """Write ``fit.json``, ``factors.csv``, and ``loadings.csv``.
 
-    ``inference`` is one result or a list of (label, result) pairs; with
-    no factors selected the CSV files carry a header only.
+    ``inference`` is a list of (label, result) pairs; with no factors
+    selected the CSV files carry a header only.
     """
-    if isinstance(inference, InferenceResult):
-        inference = [("wald", inference)]
     os.makedirs(out_dir, exist_ok=True)
     names = _factor_column_names(fit)
     factors_rows = [[_real(v) for v in row] for row in fit.factors_combined]
@@ -396,10 +394,12 @@ def _run_estimate(args) -> None:
 def _run_simulate(args) -> None:
     if not args.dgp1:
         raise _UsageError("simulate requires --dgp1 (the only built-in design)")
-    if args.n < 2 or args.t < 2 or args.reps < 1 or args.seed < 0:
-        raise _UsageError("simulate needs --n >= 2, --t >= 2, --reps >= 1 and --seed >= 0")
-    spec = Dgp1Spec(n_units=args.n, n_periods=args.t, seed=args.seed)
+    if args.reps < 1 or args.seed < 0 or args.threads < 1:
+        raise _UsageError("simulate needs --reps >= 1, --seed >= 0 and --threads >= 1")
     config = IpcConfig()
+    if min(args.n, args.t) <= config.d_max:
+        raise _UsageError(f"simulate needs min(--n, --t) > d_max = {config.d_max}")
+    spec = Dgp1Spec(n_units=args.n, n_periods=args.t, seed=args.seed)
     result = run_monte_carlo(spec, args.reps, config, parallelism=args.threads)
     write_mc_result(result, spec, config, args.out)
 

@@ -6,7 +6,7 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +22,6 @@ from .errors import (
 THRESHOLD_PER_GROUP = "pergroup"
 #: single threshold from the first group's mock eigenvalue
 THRESHOLD_GLOBAL = "global"
-
-INIT_ZERO_FACTOR_OLS = "ols"
-INIT_TWO_WAY_FE = "two_way"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -123,13 +120,6 @@ class IpcConfig:
     threshold_rule : str
         ``"pergroup"`` recomputes the selection threshold from each
         group's mock eigenvalue; ``"global"`` fixes it at group one's.
-    init_rule : str
-        Starting point for the alternating minimization: pooled OLS
-        (``"ols"``) or the two-way within estimator (``"two_way"``).
-    n_starts : int
-        Additional seeded random restarts; the lowest-objective run wins.
-    seed : int
-        Seed for the random restarts.
     """
 
     delta: float = 1.0
@@ -138,9 +128,6 @@ class IpcConfig:
     als_coef_tol: float = 1e-2
     als_max_iter: int = 1000
     threshold_rule: str = THRESHOLD_PER_GROUP
-    init_rule: str = INIT_ZERO_FACTOR_OLS
-    n_starts: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.delta) or self.delta < 0:
@@ -155,10 +142,6 @@ class IpcConfig:
             raise ValueError(f"als_max_iter must be >= 1, got {self.als_max_iter}")
         if self.threshold_rule not in (THRESHOLD_PER_GROUP, THRESHOLD_GLOBAL):
             raise ValueError(f"unknown threshold_rule {self.threshold_rule!r}")
-        if self.init_rule not in (INIT_ZERO_FACTOR_OLS, INIT_TWO_WAY_FE):
-            raise ValueError(f"unknown init_rule {self.init_rule!r}")
-        if self.n_starts < 1:
-            raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

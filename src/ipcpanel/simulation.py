@@ -25,23 +25,26 @@ from .numerics import check_gram_rank
 #: estimator labels used in the RMSE and size maps
 ESTIMATORS = ("beta0", "beta1", "beta", "oracle")
 
+#: DGP1's slope on its two regressors
+_DGP1_BETA = (1.0, 1.0)
+#: AR(1) coefficient of DGP1's regressor disturbances
+_DGP1_AR_COEFFICIENT = 0.5
+#: DGP1's disturbances of units i and j correlate at this base to the power |i - j|
+_DGP1_CROSS_CORR_BASE = 0.5
+
 
 @dataclass(frozen=True)
 class Dgp1Spec:
     """Artificial design: linear trend, random walk, and cycle factors.
 
-    Two regressors, slope fixed at one on both, three single-factor
-    groups of decreasing magnitude. ``ar_coefficient`` and
-    ``cross_corr_base`` parameterize the weakly dependent regressor
-    noise and are fixed by the design.
+    Two regressors with slope one on both, three single-factor groups of
+    decreasing magnitude, and weakly dependent AR(1) regressor noise; only
+    the panel size and the seed vary.
     """
 
     n_units: int
     n_periods: int
     seed: int = 0
-    beta_true: tuple[float, float] = (1.0, 1.0)
-    ar_coefficient: float = 0.5
-    cross_corr_base: float = 0.5
 
 
 def generate_dgp1(spec: Dgp1Spec) -> tuple[PanelDataset, TruthSpec]:
@@ -52,7 +55,7 @@ def generate_dgp1(spec: Dgp1Spec) -> tuple[PanelDataset, TruthSpec]:
     and one innovation block per regressor.
     """
     n, t = spec.n_units, spec.n_periods
-    d_x = len(spec.beta_true)
+    d_x = len(_DGP1_BETA)
     rng = np.random.Generator(np.random.Philox(spec.seed))
 
     gamma = np.column_stack(
@@ -71,8 +74,8 @@ def generate_dgp1(spec: Dgp1Spec) -> tuple[PanelDataset, TruthSpec]:
 
     # cross-sectionally correlated AR(1) regressor disturbances,
     # initialized at their stationary distribution
-    rho = spec.ar_coefficient
-    cross_cov = spec.cross_corr_base ** np.abs(
+    rho = _DGP1_AR_COEFFICIENT
+    cross_cov = _DGP1_CROSS_CORR_BASE ** np.abs(
         np.subtract.outer(np.arange(n), np.arange(n))
     )
     chol = np.linalg.cholesky(cross_cov)
@@ -88,7 +91,7 @@ def generate_dgp1(spec: Dgp1Spec) -> tuple[PanelDataset, TruthSpec]:
             path[s] = v
         x[:, :, j] = level + ((trend / 4.0) ** (j / 4.0))[None, :] + path.T
 
-    beta = np.asarray(spec.beta_true)
+    beta = np.asarray(_DGP1_BETA)
     y = x @ beta + gamma @ factors.T + noise
     dataset = PanelDataset(y=y, x=x)
     truth = TruthSpec(
@@ -199,15 +202,18 @@ def run_monte_carlo(
     """Run ``reps`` independent replications and fold their metrics.
 
     The fold is ordered by replication index, so the aggregate is a pure
-    function of (spec, reps, config) regardless of ``parallelism``.
-    Failed replications are excluded; more than 1% of them fails the run.
+    function of (spec, reps, config) regardless of ``parallelism``, which
+    is the number of worker processes (at most ``reps``; 1 or less runs
+    in this process). Failed replications are excluded; more than 1% of
+    them fails the run.
     """
     if reps < 1:
         raise MonteCarloError("need at least one replication")
     config = config or IpcConfig()
     tasks = [(spec, config, r) for r in range(reps)]
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, reps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_replicate, tasks))
     else:
         outcomes = [_replicate(task) for task in tasks]

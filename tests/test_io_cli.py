@@ -1,7 +1,9 @@
 import csv
 import json
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +135,7 @@ def fit_and_data():
 
 def test_factor_csv_round_trip_is_exact(tmp_path, fit_and_data):
     _, fit, test = fit_and_data
-    write_fit(fit, test, str(tmp_path))
+    write_fit(fit, [("wald", test)], str(tmp_path))
     with open(tmp_path / "factors.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     header, body = rows[0], rows[1:]
@@ -211,7 +213,7 @@ def test_no_factor_fit_writes_header_only(tmp_path):
     fit = fit_ipc(ds, IpcConfig(d_max=4))
     assert fit.total_factors == 0
     test = wald_test(ds, fit, WaldSpec(np.eye(1), np.ones(1)))
-    write_fit(fit, test, str(tmp_path))
+    write_fit(fit, [("wald", test)], str(tmp_path))
     assert (tmp_path / "factors.csv").read_text() == "\n"
     assert (tmp_path / "loadings.csv").read_text() == "\n"
 
@@ -324,6 +326,9 @@ def test_exit_codes(tmp_path):
         ("simulate", "--dgp1", "--n", "-5", "--t", "8", "--reps", "1"),
         ("simulate", "--dgp1", "--n", "8", "--t", "8", "--reps", "0"),
         ("simulate", "--dgp1", "--n", "8", "--t", "8", "--reps", "1", "--seed", "-1"),
+        ("simulate", "--dgp1", "--n", "10", "--t", "40", "--reps", "1"),
+        ("simulate", "--dgp1", "--n", "20", "--t", "20", "--reps", "1", "--threads", "0"),
+        ("simulate", "--dgp1", "--n", "20", "--t", "20", "--reps", "1", "--threads", "-3"),
     ],
 )
 def test_bad_numbers_are_usage_errors(tmp_path, capsys, args):
@@ -338,6 +343,18 @@ def test_bad_numbers_are_usage_errors(tmp_path, capsys, args):
 
 def test_usage_error_in_process():
     assert cli_main(["simulate", "--n", "8", "--t", "8", "--reps", "1", "--out", "x"]) == 1
+
+
+def test_table_script_agrees_with_simulate(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_dgp1_tables.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--sizes", "24", "--reps", "2", "--seed", "7",
+                 "--out", str(tmp_path / "script.csv")]) == 0
+    assert cli_main(["simulate", "--dgp1", "--n", "24", "--t", "24", "--reps", "2",
+                     "--seed", "7", "--out", str(tmp_path / "cli")]) == 0
+    assert (tmp_path / "script.csv").read_bytes() == (
+        tmp_path / "cli" / "table.csv"
+    ).read_bytes()
 
 
 def test_custom_wald_restriction_and_jackknife(tmp_path):

@@ -92,8 +92,6 @@ def test_config_field_validation():
         IpcConfig(als_tol=0.0)
     with pytest.raises(ValueError):
         IpcConfig(threshold_rule="sometimes")
-    with pytest.raises(ValueError):
-        IpcConfig(init_rule="guess")
     assert IpcConfig(als_coef_tol=0.0).als_coef_tol == 0.0
 
 

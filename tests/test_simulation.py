@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ipcpanel import simulation
 from ipcpanel.errors import MonteCarloError, RankDeficientError
 from ipcpanel.model import IpcConfig
 from ipcpanel.simulation import (
@@ -114,6 +115,32 @@ def test_parallelism_does_not_change_results():
     serial = run_monte_carlo(spec, 6, config, parallelism=1)
     parallel = run_monte_carlo(spec, 6, config, parallelism=4)
     assert serial == parallel
+
+
+def test_worker_count_is_capped_by_replications(monkeypatch):
+    pool_sizes = []
+
+    class RecordingPool:  # records the pool size, maps serially, starts no process
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    spec = Dgp1Spec(24, 24, seed=12)
+    config = IpcConfig(d_max=5)
+    capped = run_monte_carlo(spec, 2, config, parallelism=10**6)
+    assert pool_sizes == [2]
+    for parallelism in (1, 0, -1):
+        assert run_monte_carlo(spec, 2, config, parallelism=parallelism) == capped
+    assert pool_sizes == [2]
 
 
 def test_aggregates_are_consistent():
