@@ -12,7 +12,7 @@ import csv
 import sys
 import time
 
-from ipcpanel.io_cli import _TABLE_COLUMNS, mc_table_row
+from ipcpanel.io_cli import TABLE_COLUMNS, mc_table_row
 from ipcpanel.model import IpcConfig
 from ipcpanel.simulation import Dgp1Spec, run_monte_carlo
 
@@ -23,7 +23,8 @@ def parse_sizes(text):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="40,80", help="comma list of N=T sizes")
+    parser.add_argument("--sizes", type=parse_sizes, default="40,80",
+                        help="comma list of N=T sizes")
     parser.add_argument("--reps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dmax", type=int, default=10)
@@ -31,15 +32,21 @@ def main(argv=None):
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=None, help="optional CSV output path")
     args = parser.parse_args(argv)
-
-    config = IpcConfig(delta=args.delta, d_max=args.dmax)
+    if args.reps < 1 or args.threads < 1:
+        parser.error("--reps and --threads must be >= 1")
+    try:
+        config = IpcConfig(delta=args.delta, d_max=args.dmax)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if any(size <= config.d_max for size in args.sizes):
+        parser.error(f"every --sizes entry must be > --dmax = {config.d_max}")
     rows = []
     print(
         f"{'N':>5} {'T':>5} {'joint':>6} {'d1':>6} {'d2':>6} {'d3':>6} "
         f"{'rmseP':>8} {'beta0':>8} {'beta1':>8} {'beta':>8} {'oracle':>8} "
         f"{'sz_b0':>6} {'sz_b1':>6} {'sz_b':>6} {'sz_or':>6} {'secs':>6}"
     )
-    for size in parse_sizes(args.sizes):
+    for size in args.sizes:
         spec = Dgp1Spec(n_units=size, n_periods=size, seed=args.seed)
         start = time.perf_counter()
         result = run_monte_carlo(spec, args.reps, config, parallelism=args.threads)
@@ -58,7 +65,7 @@ def main(argv=None):
     if args.out:
         with open(args.out, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_TABLE_COLUMNS)
+            writer.writerow(TABLE_COLUMNS)
             writer.writerows(rows)
         print(f"wrote {args.out}")
     return 0

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .init_estimator import f_given_beta, ssr_value
 from .model import THRESHOLD_GLOBAL, FactorGroup, IpcConfig, PanelDataset
-from .numerics import top_sym_eigh
+from .numerics import SVD_ASPECT_RATIO, top_svd_pairs, top_sym_eigh
 
 #: slack below zero tolerated in eigenvalue inputs before clamping
 EIGENVALUE_FLOOR = -1e-10
@@ -126,9 +126,12 @@ def extract_group(
 ) -> FactorGroup:
     """Estimate the next factor group given all previously extracted ones.
 
-    Forms the covariance of the deflated residuals, selects the dimension
-    by :func:`eigen_ratio_select`, and scales the chosen eigenvectors by
-    T^{delta/2}. A zero dimension comes back as an empty group.
+    Eigensolves the covariance of the deflated residuals u'u/N, selects
+    the dimension by :func:`eigen_ratio_select`, and scales the chosen
+    eigenvectors by T^{delta/2}. Long panels (T > 2N, see
+    ``numerics.SVD_ASPECT_RATIO``) take the eigenpairs from the thin SVD of
+    the N x T residual, so no T x T matrix is formed. A zero dimension
+    comes back as an empty group.
 
     The threshold is :func:`threshold_tau` of this group's mock eigenvalue;
     under the global rule, groups after the first read the first group's
@@ -144,17 +147,19 @@ def extract_group(
     tau = threshold_tau(prior[0].mock_eigenvalue if global_anchor else mock, n)
 
     u = _deflated_residual(dataset, beta0, prior)
-    sigma = (u.T @ u) / n
     # the extracted groups explain the panel to rounding error: nothing
     # is left to estimate, so the group comes back empty
     r = dataset.y - dataset.x @ np.asarray(beta0, dtype=float)
     baseline = float(np.sum(r * r)) / n
-    if float(np.trace(sigma)) <= 1e-12 * baseline:
-        values = np.zeros(config.d_max + 1)
-        vectors = np.zeros((t, config.d_max + 1))
+    k = config.d_max + 1
+    if float(np.sum(u * u)) / n <= 1e-12 * baseline:
+        values = np.zeros(k)
+        vectors = np.zeros((t, k))
         decision = eigen_ratio_select(values, 0.0, tau)
     else:
-        values, vectors = top_sym_eigh(sigma, config.d_max + 1)
+        values, vectors = (
+            top_sym_eigh((u.T @ u) / n, k) if t <= SVD_ASPECT_RATIO * n else top_svd_pairs(u, k)
+        )
         decision = eigen_ratio_select(values, mock, tau)
     d = decision.chosen_d
     factors = t ** (config.delta / 2.0) * vectors[:, :d]

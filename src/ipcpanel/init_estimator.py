@@ -14,7 +14,13 @@ import numpy as np
 
 from .errors import MonotonicityError, NotConvergedError, SingularDesignError
 from .model import IpcConfig, PanelDataset
-from .numerics import annihilator_apply, check_gram_rank, top_sym_eigh
+from .numerics import (
+    SVD_ASPECT_RATIO,
+    annihilator_apply,
+    check_gram_rank,
+    top_svd_pairs,
+    top_sym_eigh,
+)
 
 #: absolute slack, relative to the starting objective, allowed per iteration
 MONOTONICITY_RTOL = 1e-10
@@ -74,11 +80,14 @@ def f_given_beta(
 
     Columns are T^{delta/2} times the leading eigenvectors of the
     residual covariance N^{-1} sum_i (y_i - X_i beta)(y_i - X_i beta)'.
+    Long panels (T > 2N, see ``numerics.SVD_ASPECT_RATIO``) take them from
+    the thin SVD of the N x T residual, so no T x T matrix is formed.
     """
     n, t = dataset.n_units, dataset.n_periods
     w = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
-    sigma = (w.T @ w) / n
-    _, vectors = top_sym_eigh(sigma, k)
+    _, vectors = (
+        top_sym_eigh((w.T @ w) / n, k) if t <= SVD_ASPECT_RATIO * n else top_svd_pairs(w, k)
+    )
     return t ** (delta / 2.0) * vectors
 
 

@@ -252,7 +252,7 @@ def write_fit(
     _atomic_write(os.path.join(out_dir, "loadings.csv"), _csv_text(names, loadings_rows))
 
 
-_TABLE_COLUMNS = [
+TABLE_COLUMNS = [
     "n_units", "n_periods", "reps",
     "joint_selection_freq", "freq_d1", "freq_d2", "freq_d3",
     "rmse_projector",
@@ -296,7 +296,7 @@ def write_mc_result(
     )
     _atomic_write(
         os.path.join(out_dir, "table.csv"),
-        _csv_text(_TABLE_COLUMNS, [mc_table_row(spec, result)]),
+        _csv_text(TABLE_COLUMNS, [mc_table_row(spec, result)]),
     )
 
 

@@ -1,5 +1,6 @@
-"""Dense symmetric eigensolving, the eigenvalue-ratio rank check, annihilator
-projections, SPD solves, and the chi-squared survival function.
+"""Dense symmetric eigensolving, leading singular pairs of long residual
+panels, the eigenvalue-ratio rank check, annihilator projections, SPD
+solves, and the chi-squared survival function.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.
@@ -24,6 +25,14 @@ RANK_RTOL = 1e-12
 
 #: relative asymmetry tolerated by :func:`top_sym_eigh`
 SYMMETRY_RTOL = 1e-10
+
+#: an N x T residual panel with T > SVD_ASPECT_RATIO * N takes the eigenpairs
+#: of u'u/N from :func:`top_svd_pairs` instead of eigensolving the T x T matrix.
+#: Top 11 pairs on a 2-vCPU Xeon VM, OpenBLAS on one thread, best of 7
+#: (primal eigh vs thin SVD): 160 x 200 1.8 vs 2.9 ms, 160 x 320 4.4 vs
+#: 4.6 ms, 100 x 400 6.5 vs 2.3 ms, 40 x 1000 62 vs 1.2 ms; the SVD wins
+#: once T exceeds about 2N.
+SVD_ASPECT_RATIO = 2
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -73,6 +82,34 @@ def top_sym_eigh(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = scipy.linalg.eigh(a, subset_by_index=[m - k, m - 1])
     order = np.arange(len(values))[::-1]
     return values[order].copy(), _fix_signs(vectors[:, order])
+
+
+def top_svd_pairs(u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest ``k`` eigenpairs of u'u/N from the thin SVD of the N x T ``u``.
+
+    Returns the same pairs as ``top_sym_eigh((u.T @ u) / N, k)`` without
+    forming the T x T matrix: ``values = s**2 / N`` and the vectors are the
+    leading right singular vectors, with the same sign convention. ``k``
+    may be at most min(N, T). No division by a singular value is needed,
+    so a rank-deficient ``u`` is safe.
+
+    Raises
+    ------
+    NonFiniteError
+        If ``u`` contains NaN or infinity.
+    InvalidDomainError
+        If ``u`` is not a matrix or ``k`` is outside [0, min(N, T)].
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        raise InvalidDomainError(f"expected a matrix, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise NonFiniteError("matrix contains non-finite entries")
+    n, t = u.shape
+    if k < 0 or k > min(n, t):
+        raise InvalidDomainError(f"k={k} outside [0, {min(n, t)}]")
+    _, s, vt = scipy.linalg.svd(u, full_matrices=False, check_finite=False)
+    return s[:k] ** 2 / n, _fix_signs(vt[:k].T)
 
 
 def check_gram_rank(gram: np.ndarray, error: type[Exception], message: str) -> None:

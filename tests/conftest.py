@@ -2,12 +2,21 @@
 
 The oracle helpers deliberately use explicit matrix inverses and loops so
 they stay independent of the library's solver paths.
+
+BLAS and OpenMP are pinned to one thread before numpy is imported: the
+suite's matrices are small, and two BLAS threads per process spend more
+time contending than computing. A value already set in the environment wins.
 """
 
-import numpy as np
-import pytest
+import os
 
-from ipcpanel.model import PanelDataset
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ipcpanel.model import PanelDataset  # noqa: E402
 
 
 def dense_annihilator(f: np.ndarray) -> np.ndarray:
@@ -23,6 +32,14 @@ def dense_projector(f: np.ndarray) -> np.ndarray:
     if f.shape[1] == 0:
         return np.zeros((t, t))
     return f @ np.linalg.inv(f.T @ f) @ f.T
+
+
+def dense_top_eigenpairs(u: np.ndarray, k: int):
+    """Top k eigenpairs of the T x T matrix u'u/N by a full eigh (oracle path),
+    descending, each vector's largest-magnitude entry made positive."""
+    values, vectors = np.linalg.eigh(u.T @ u / u.shape[0])
+    values, vectors = values[::-1][:k], vectors[:, ::-1][:, :k]
+    return values, vectors * np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)])
 
 
 def random_panel(seed, n=6, t=7, d_x=2, n_factors=1, noise=0.5):

@@ -18,11 +18,12 @@ from ipcpanel.factor_selection import (
     mock_eigenvalue,
     threshold_tau,
 )
+from ipcpanel.final_estimator import fit_ipc
 from ipcpanel.init_estimator import fit_initial
 from ipcpanel.model import IpcConfig, PanelDataset
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
-from conftest import dense_annihilator, dense_projector, random_panel
+from conftest import dense_annihilator, dense_projector, dense_top_eigenpairs, random_panel
 
 
 # --- eigen_ratio_select -------------------------------------------------------
@@ -187,6 +188,34 @@ def test_group_normalization_any_delta():
             assert np.allclose(gram, np.eye(group.dim), atol=1e-8)
         assert np.all(group.eigenvalues >= 0.0)
         assert np.all(np.diff(group.eigenvalues) <= 1e-9 * group.eigenvalues[0])
+
+
+def test_long_panel_groups_match_primal_oracle():
+    # T > 2N takes the SVD route; the oracle eigensolves the T x T covariance
+    # of the residual, then of the residual deflated by the first group
+    ds, beta, *_ = random_panel(9, n=12, t=300, n_factors=2, noise=0.2)
+    config = IpcConfig(d_max=4)
+    prior = []
+    for _ in range(2):
+        group = extract_group(ds, beta, prior, config)
+        u = ds.y - ds.x @ beta - sum(g.loadings @ g.factors.T for g in prior)
+        values, vectors = dense_top_eigenpairs(u, config.d_max + 1)
+        tau = threshold_tau(group.mock_eigenvalue, ds.n_units)
+        d = eigen_ratio_select(values, group.mock_eigenvalue, tau).chosen_d
+        assert group.dim == d
+        assert np.allclose(group.eigenvalues, values[: config.d_max], rtol=1e-10, atol=0.0)
+        assert np.allclose(group.factors, np.sqrt(ds.n_periods) * vectors[:, :d], atol=1e-8)
+        prior.append(group)
+    assert [g.dim for g in prior] == [2, 0]
+
+
+def test_exactly_explained_long_panel_fits():
+    # no noise: the residual after one factor is zero up to rounding, so the
+    # SVD route meets a rank-deficient residual
+    ds, *_ = random_panel(10, n=12, t=60, n_factors=1, noise=0.0)
+    fit = fit_ipc(ds, IpcConfig(d_max=3))
+    assert [g.dim for g in fit.groups] == [1]
+    assert np.all(np.isfinite(fit.beta))
 
 
 # --- iterate_groups ----------------------------------------------------------------

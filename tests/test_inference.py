@@ -184,10 +184,8 @@ def test_p_value_monotone_in_statistic(w, step, dof):
     assert chi2_sf(w + step, dof) <= chi2_sf(w, dof) + 1e-12
 
 
-def test_memory_stays_linear_in_units():
-    """No N x N intermediate: each traced peak stays below a quarter of one."""
-    ds, *_ = random_panel(7, n=3000, t=12)
-    bound = ds.n_units**2 * 8 / 4
+def assert_traced_peaks_below(ds, bound):
+    """Each tracemalloc peak of fit_ipc, wald_test and a Wald variant < bound bytes."""
     spec = WaldSpec(np.eye(2), np.zeros(2))
     tracemalloc.start()
     try:
@@ -203,6 +201,18 @@ def test_memory_stays_linear_in_units():
     finally:
         tracemalloc.stop()
     assert all(peak < bound for peak in peaks.values()), (peaks, bound)
+
+
+def test_memory_stays_linear_in_units():
+    """No N x N intermediate: each traced peak stays below a quarter of one."""
+    ds, *_ = random_panel(7, n=3000, t=12)
+    assert_traced_peaks_below(ds, ds.n_units**2 * 8 / 4)
+
+
+def test_memory_stays_linear_in_periods():
+    """No T x T intermediate: each traced peak stays below a quarter of one."""
+    ds, *_ = random_panel(7, n=20, t=3000)
+    assert_traced_peaks_below(ds, ds.n_periods**2 * 8 / 4)
 
 
 # --- jackknife -----------------------------------------------------------------------

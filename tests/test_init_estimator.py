@@ -10,7 +10,7 @@ from ipcpanel.init_estimator import (
 )
 from ipcpanel.model import IpcConfig, PanelDataset
 
-from conftest import dense_annihilator, dense_projector, random_panel
+from conftest import dense_annihilator, dense_projector, dense_top_eigenpairs, random_panel
 
 
 def test_no_factor_noiseless_regression_is_exact():
@@ -86,6 +86,14 @@ def test_f_given_beta_normalization_and_delta_cancellation():
     p0 = dense_projector(f_given_beta(ds, beta, 3, 0.0))
     p2 = dense_projector(f_given_beta(ds, beta, 3, 2.0))
     assert np.allclose(p0, p2, atol=1e-8)
+
+
+def test_long_panel_factors_match_primal_oracle():
+    # T > 2N takes the SVD route; the oracle eigensolves the T x T covariance
+    ds, beta, *_ = random_panel(8, n=12, t=300, n_factors=2)
+    _, vectors = dense_top_eigenpairs(ds.y - ds.x @ beta, 3)
+    f = f_given_beta(ds, beta, 3, delta=1.0)
+    assert np.allclose(f, np.sqrt(ds.n_periods) * vectors, atol=1e-8)
 
 
 def test_fit_initial_no_factor_data_converges_fast():

@@ -357,6 +357,26 @@ def test_table_script_agrees_with_simulate(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["--sizes", "24,10"],                       # an entry at d_max = 10
+    ["--sizes", "24", "--dmax", "30"],
+    ["--sizes", "24", "--threads", "0"],
+    ["--sizes", "24", "--reps", "0"],
+    ["--sizes", "24", "--dmax", "0"],
+    ["--sizes", "24,x"],
+])
+def test_table_script_rejects_bad_numbers_before_any_work(monkeypatch, capsys, args):
+    runs = []
+    monkeypatch.setattr(simulation, "run_monte_carlo", lambda *a, **k: runs.append(a))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_dgp1_tables.py"
+    main = runpy.run_path(str(script))["main"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 2
+    assert runs == []
+    assert "error:" in capsys.readouterr().err
+
+
 def test_custom_wald_restriction_and_jackknife(tmp_path):
     ds, _ = generate_dgp1(Dgp1Spec(16, 17, seed=71))
     path = tmp_path / "panel.csv"

@@ -11,7 +11,7 @@ from ipcpanel.errors import (
     NonSymmetricError,
     RankDeficientError,
 )
-from ipcpanel.numerics import annihilator_apply, chi2_sf, top_sym_eigh
+from ipcpanel.numerics import annihilator_apply, chi2_sf, top_svd_pairs, top_sym_eigh
 
 
 def random_symmetric(seed, m=4, scale=1.0):
@@ -110,6 +110,40 @@ def test_rejects_asymmetric_and_nonfinite():
         full_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(NonSymmetricError):
         full_eigh(np.ones((2, 3)))
+
+
+# --- top_svd_pairs ------------------------------------------------------------
+
+@pytest.mark.parametrize("rank", [None, 2])
+def test_top_svd_pairs_match_primal_eigh(rank):
+    rng = np.random.default_rng(21)
+    n, t, k = 8, 30, 5
+    u = rng.normal(size=(n, t))
+    if rank is not None:
+        u = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, t))
+    values, vectors = top_svd_pairs(u, k)
+    want_values = np.linalg.eigvalsh(u.T @ u / n)[::-1][:k]
+    assert np.allclose(values, want_values, rtol=0.0, atol=1e-10 * want_values[0])
+    assert np.allclose(vectors.T @ vectors, np.eye(k), atol=1e-12)
+    idx = np.argmax(np.abs(vectors), axis=0)
+    assert np.all(vectors[idx, np.arange(k)] > 0)
+    # distinct nonzero eigenvalues pin their vectors, which then carry the
+    # same signs as top_sym_eigh's
+    pinned = rank or k
+    _, primal = top_sym_eigh(u.T @ u / n, k)
+    assert np.allclose(vectors[:, :pinned], primal[:, :pinned], atol=1e-8)
+
+
+def test_top_svd_pairs_rejects_nonfinite_and_out_of_range_k():
+    u = np.ones((3, 7))
+    with pytest.raises(NonFiniteError):
+        top_svd_pairs(np.where(np.eye(3, 7) > 0, np.nan, u), 1)
+    with pytest.raises(InvalidDomainError):
+        top_svd_pairs(u, 4)
+    with pytest.raises(InvalidDomainError):
+        top_svd_pairs(u, -1)
+    values, vectors = top_svd_pairs(u, 0)
+    assert values.shape == (0,) and vectors.shape == (7, 0)
 
 
 # --- annihilator_apply --------------------------------------------------------
