@@ -10,6 +10,7 @@ import numpy as np
 from .errors import (
     NotConvergedError,
     RankDeficientError,
+    SingularCovarianceError,
     SingularLoadingsError,
     SingularZGramError,
 )
@@ -74,6 +75,23 @@ def residual_variances(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -
     return np.maximum(np.sum(mr * r, axis=1) / dataset.n_periods, 0.0)
 
 
+def sandwich_covariance(z: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """Self-normalizing sandwich (sum Z_i'Z_i)^{-1} (sum sigma2_i Z_i'Z_i) (sum Z_i'Z_i)^{-1}.
+
+    ``z`` is N x T x d_x and ``sigma2`` holds the N per-unit variances.
+
+    Raises
+    ------
+    SingularCovarianceError
+        If the Z Gram matrix is numerically singular.
+    """
+    z_gram = np.einsum("ntd,nte->de", z, z)
+    middle = np.einsum("n,ntd,nte->de", sigma2, z, z)
+    half = solve_spd(z_gram, middle, SingularCovarianceError)
+    cov = solve_spd(z_gram, half.T, SingularCovarianceError).T
+    return 0.5 * (cov + cov.T)
+
+
 def combine_groups(
     groups: list[FactorGroup] | tuple[FactorGroup, ...], n_units: int, n_periods: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,6 +116,8 @@ def fit_final(
     beta = beta0 + (sum_i Z_i'Z_i)^{-1} sum_i X_i' M_F X_i (beta1 - beta0)
     with beta1 the slope conditional on the combined factors. With no
     factors selected the correction collapses and beta equals pooled OLS.
+    The fit's covariance is the sandwich of beta from the same Z and the
+    per-unit variances at beta.
 
     Raises
     ------
@@ -113,18 +133,18 @@ def fit_final(
     z_gram = np.einsum("ntd,nte->de", z, z)
     x_gram = np.einsum("ntd,nte->de", mx, mx)
     beta = init.beta0 + solve_spd(z_gram, x_gram @ (beta1 - init.beta0), SingularZGramError)
+    sigma2 = residual_variances(dataset, beta, f_hat)
 
     return IpcFit(
         beta0=init.beta0,
         beta1=beta1,
         beta=beta,
+        covariance=sandwich_covariance(z, sigma2),
         groups=tuple(groups),
-        n_groups=len(groups),
-        total_factors=int(f_hat.shape[1]),
         factors_combined=f_hat,
         loadings_combined=gamma_hat,
         residuals=dataset.y - dataset.x @ beta - gamma_hat @ f_hat.T,
-        sigma2_by_unit=residual_variances(dataset, beta, f_hat),
+        sigma2_by_unit=sigma2,
         als_iterations=init.iterations,
         converged=init.converged,
         factors_initial=init.f0,

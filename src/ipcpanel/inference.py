@@ -20,7 +20,7 @@ from .errors import (
     SubPanelError,
     ZeroLoadingsError,
 )
-from .final_estimator import fit_ipc, residual_variances, z_matrices
+from .final_estimator import fit_ipc, residual_variances, sandwich_covariance, z_matrices
 from .init_estimator import annihilate_regressors, beta_given_f
 from .model import FactorGroup, IpcFit, PanelDataset
 from .numerics import RANK_RTOL, chi2_sf, solve_spd
@@ -83,20 +83,12 @@ def unit_variances(dataset: PanelDataset, fit: IpcFit) -> np.ndarray:
     return residual_variances(dataset, fit.beta, fit.factors_combined)
 
 
-def _wald(
-    dataset: PanelDataset, beta: np.ndarray, f: np.ndarray, z: np.ndarray, spec: WaldSpec
-) -> InferenceResult:
-    """Sandwich covariance and Wald test for a slope, its factors and its Z matrices."""
+def _wald(beta: np.ndarray, cov: np.ndarray, spec: WaldSpec) -> InferenceResult:
+    """Wald test of R beta = r for a slope and its covariance."""
     if spec.r_matrix.shape[1] != beta.shape[0]:
         raise DimensionMismatchError(
             f"R has {spec.r_matrix.shape[1]} columns but there are {beta.shape[0]} regressors"
         )
-    sigma2 = residual_variances(dataset, beta, f)
-    z_gram = np.einsum("ntd,nte->de", z, z)
-    middle = np.einsum("n,ntd,nte->de", sigma2, z, z)
-    half = solve_spd(z_gram, middle, SingularCovarianceError)
-    cov = solve_spd(z_gram, half.T, SingularCovarianceError).T
-    cov = 0.5 * (cov + cov.T)
     gap = spec.r_matrix @ beta - spec.r_vector
     restricted = spec.r_matrix @ cov @ spec.r_matrix.T
     stat = float(gap @ solve_spd(restricted, gap, SingularCovarianceError))
@@ -113,19 +105,23 @@ def _wald(
 def wald_test(dataset: PanelDataset, fit: IpcFit, spec: WaldSpec) -> InferenceResult:
     """Wald test of R beta = r at the corrected slope estimate.
 
-    The covariance is the self-normalizing sandwich
-    (sum Z'Z)^{-1} (sum sigma2_i Z_i'Z_i) (sum Z'Z)^{-1} with the
-    loading-weighted Z matrices and the per-unit variances at ``fit.beta``;
-    the p-value uses the chi-squared tail with r0 degrees of freedom.
+    The statistic is the quadratic form of R beta - r in R V R', where V is
+    ``fit.covariance``, the sandwich the fit computed at ``fit.beta``; the
+    p-value uses the chi-squared tail with r0 degrees of freedom. No
+    projection is redone: ``dataset`` is only checked to be the fitted panel's
+    shape.
 
     Raises
     ------
     DimensionMismatchError
-        If R does not have one column per regressor.
+        If ``dataset`` does not have the fit's N, T and d_x, or R does not
+        have one column per regressor.
     """
-    f = fit.factors_combined
-    z = z_matrices(dataset, f, fit.loadings_combined)
-    return _wald(dataset, fit.beta, f, z, spec)
+    got = (dataset.n_units, dataset.n_periods, dataset.n_regressors)
+    fitted = (fit.loadings_combined.shape[0], fit.factors_combined.shape[0], fit.beta.shape[0])
+    if got != fitted:
+        raise DimensionMismatchError(f"dataset has N, T, d_x = {got} but the fit has {fitted}")
+    return _wald(fit.beta, fit.covariance, spec)
 
 
 def wald_variants(
@@ -160,7 +156,7 @@ def wald_variants(
         z = annihilate_regressors(dataset.x, f)
     else:
         raise InvalidDomainError(f"unknown variant {variant!r}")
-    return _wald(dataset, beta, f, z, spec)
+    return _wald(beta, sandwich_covariance(z, residual_variances(dataset, beta, f)), spec)
 
 
 _SUB_PANELS = ("units_first_half", "units_second_half", "periods_odd", "periods_even")

@@ -197,8 +197,8 @@ def fit_to_json_dict(
         "total_factors": fit.total_factors,
         "group_eigenvalues": [_reals(g.eigenvalues) for g in fit.groups],
         "mock_eigenvalues": [_real(g.mock_eigenvalue) for g in fit.groups],
-        "std_errors": _reals(inference[0][1].std_errors) if inference else [],
-        "covariance": _reals(inference[0][1].covariance) if inference else [],
+        "std_errors": _reals(fit.std_errors),
+        "covariance": _reals(fit.covariance),
         "wald_tests": [
             {
                 "label": label,
@@ -233,8 +233,9 @@ def write_fit(
 ) -> None:
     """Write ``fit.json``, ``factors.csv``, and ``loadings.csv``.
 
-    ``inference`` is a list of (label, result) pairs; with no factors
-    selected the CSV files carry a header only.
+    ``inference`` is a list of (label, result) pairs, possibly empty; the
+    covariance and standard errors in ``fit.json`` are the fit's own. With
+    no factors selected the CSV files carry a header only.
     """
     os.makedirs(out_dir, exist_ok=True)
     names = _factor_column_names(fit)
@@ -252,7 +253,7 @@ def write_fit(
     _atomic_write(os.path.join(out_dir, "loadings.csv"), _csv_text(names, loadings_rows))
 
 
-TABLE_COLUMNS = [
+_TABLE_COLUMNS = [
     "n_units", "n_periods", "reps",
     "joint_selection_freq", "freq_d1", "freq_d2", "freq_d3",
     "rmse_projector",
@@ -261,7 +262,7 @@ TABLE_COLUMNS = [
 ]
 
 
-def mc_table_row(spec: Dgp1Spec, result: McResult) -> list:
+def _mc_table_row(spec: Dgp1Spec, result: McResult) -> list:
     freq = result.per_group_freq
     return [
         spec.n_units, spec.n_periods, result.reps,
@@ -296,7 +297,7 @@ def write_mc_result(
     )
     _atomic_write(
         os.path.join(out_dir, "table.csv"),
-        _csv_text(TABLE_COLUMNS, [mc_table_row(spec, result)]),
+        _csv_text(_TABLE_COLUMNS, [_mc_table_row(spec, result)]),
     )
 
 

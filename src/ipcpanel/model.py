@@ -172,14 +172,17 @@ class FactorGroup:
 
 @dataclass(frozen=True)
 class IpcFit:
-    """Full output of the three-step pipeline."""
+    """Full output of the three-step pipeline.
+
+    ``covariance`` is the d_x x d_x sandwich covariance of ``beta``,
+    computed once by the fit; Wald tests of ``beta`` read it.
+    """
 
     beta0: np.ndarray
     beta1: np.ndarray
     beta: np.ndarray
+    covariance: np.ndarray
     groups: tuple[FactorGroup, ...]
-    n_groups: int
-    total_factors: int
     factors_combined: np.ndarray
     loadings_combined: np.ndarray
     residuals: np.ndarray
@@ -190,11 +193,23 @@ class IpcFit:
     config: IpcConfig
 
     def __post_init__(self):
-        for name in ("beta0", "beta1", "beta", "factors_combined",
+        for name in ("beta0", "beta1", "beta", "covariance", "factors_combined",
                      "loadings_combined", "residuals", "sigma2_by_unit",
                      "factors_initial"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "groups", tuple(self.groups))
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.groups)
+
+    @property
+    def total_factors(self) -> int:
+        return self.factors_combined.shape[1]
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,21 @@ def dense_projector(f: np.ndarray) -> np.ndarray:
     return f @ np.linalg.inv(f.T @ f) @ f.T
 
 
+def dense_sandwich(dataset, beta, f, gamma):
+    """inv(sum Z'Z) (sum sigma2_i Z_i'Z_i) inv(sum Z'Z) with Z from the dense
+    double loop over units and sigma2_i = max(r_i' M_F r_i / T, 0) (oracle path)."""
+    n, t = dataset.n_units, dataset.n_periods
+    m = dense_annihilator(f)
+    a = gamma @ np.linalg.inv(gamma.T @ gamma) @ gamma.T
+    mx = [m @ dataset.x[i] for i in range(n)]
+    z = [mx[i] - sum(a[i, j] * mx[j] for j in range(n)) for i in range(n)]
+    r = dataset.y - dataset.x @ beta
+    sigma2 = [max(r[i] @ m @ r[i] / t, 0.0) for i in range(n)]
+    gram_inv = np.linalg.inv(sum(zi.T @ zi for zi in z))
+    middle = sum(s2 * zi.T @ zi for s2, zi in zip(sigma2, z))
+    return gram_inv @ middle @ gram_inv
+
+
 def dense_top_eigenpairs(u: np.ndarray, k: int):
     """Top k eigenpairs of the T x T matrix u'u/N by a full eigh (oracle path),
     descending, each vector's largest-magnitude entry made positive."""

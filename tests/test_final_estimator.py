@@ -15,7 +15,7 @@ from ipcpanel.init_estimator import beta_given_f, fit_initial
 from ipcpanel.model import IpcConfig, PanelDataset
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
-from conftest import dense_annihilator, random_panel
+from conftest import dense_annihilator, dense_sandwich, random_panel
 
 
 # --- loading_weights -----------------------------------------------------------
@@ -186,3 +186,13 @@ def test_fit_metadata_and_sigma2():
     assert fit.residuals.shape == ds.y.shape
     assert fit.config == config
     assert fit.factors_initial.shape == (30, config.d_max)
+
+
+def test_covariance_matches_dense_sandwich_oracle():
+    ds, _ = generate_dgp1(Dgp1Spec(16, 18, seed=8))
+    fit = fit_ipc(ds, IpcConfig(d_max=4))
+    assert fit.total_factors > 0
+    expected = dense_sandwich(ds, fit.beta, fit.factors_combined, fit.loadings_combined)
+    assert fit.covariance.shape == (2, 2)
+    assert np.allclose(fit.covariance, expected, rtol=1e-10, atol=0.0)
+    assert np.array_equal(fit.std_errors, np.sqrt(np.diag(fit.covariance)))

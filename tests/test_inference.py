@@ -31,7 +31,7 @@ from ipcpanel.model import FactorGroup, IpcConfig, PanelDataset
 from ipcpanel.numerics import chi2_sf
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
-from conftest import dense_annihilator, random_panel
+from conftest import dense_annihilator, dense_sandwich, random_panel
 
 
 def make_group(index, loadings, t):
@@ -128,12 +128,42 @@ def test_restriction_width_must_match_regressors(fitted):
 
 
 def test_variant_beta1_coincides_when_estimates_match(fitted):
+    # the beta1 variant is the sandwich at beta1 with the fit's own factors
+    # and loadings, checked against the dense oracle
     ds, truth, fit = fitted
-    degenerate = dataclasses.replace(fit, beta=fit.beta1.copy())
     spec = WaldSpec(np.eye(2), truth.beta_true)
-    direct = wald_test(ds, degenerate, spec)
     variant = wald_variants(ds, fit, spec, "beta1")
-    assert variant.wald_stat == pytest.approx(direct.wald_stat, rel=1e-10)
+    cov = dense_sandwich(ds, fit.beta1, fit.factors_combined, fit.loadings_combined)
+    gap = fit.beta1 - truth.beta_true
+    assert np.allclose(variant.covariance, cov, rtol=1e-10, atol=0.0)
+    assert variant.wald_stat == pytest.approx(float(gap @ np.linalg.inv(cov) @ gap), rel=1e-10)
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda ds: ds.select_units(range(ds.n_units - 1)),
+    lambda ds: ds.select_periods(range(ds.n_periods - 1)),
+    lambda ds: PanelDataset(y=ds.y, x=ds.x[:, :, :1]),
+], ids=["units", "periods", "regressors"])
+def test_wald_test_rejects_another_panel_shape(fitted, reshape):
+    ds, truth, fit = fitted
+    with pytest.raises(DimensionMismatchError):
+        wald_test(reshape(ds), fit, WaldSpec(np.eye(2), truth.beta_true))
+
+
+def test_wald_test_does_no_projection_work(fitted, monkeypatch):
+    ds, truth, fit = fitted
+    spec = WaldSpec(np.eye(2), truth.beta_true)
+    want = wald_test(ds, fit, spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("wald_test must not recompute Z or the variances")
+
+    monkeypatch.setattr(inference, "z_matrices", forbidden)
+    monkeypatch.setattr(inference, "residual_variances", forbidden)
+    got = wald_test(ds, fit, spec)
+    assert got.wald_stat == want.wald_stat and got.p_value == want.p_value
+    assert np.array_equal(got.covariance, fit.covariance)
+    assert np.array_equal(got.std_errors, fit.std_errors)
 
 
 def test_variant_validation(fitted):
