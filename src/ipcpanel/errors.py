@@ -74,17 +74,6 @@ class SingularDesignError(NumericalError):
     pass
 
 
-class NotConvergedError(NumericalError):
-    """Alternating least squares hit the iteration cap.
-
-    Carries the partial result so the caller can decide whether to use it.
-    """
-
-    def __init__(self, result, message="ALS did not converge within the iteration cap"):
-        self.result = result
-        super().__init__(message)
-
-
 class MonotonicityError(NumericalError):
     """An ALS step increased the objective beyond floating-point slack."""
 

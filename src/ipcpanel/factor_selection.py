@@ -108,16 +108,6 @@ def mock_eigenvalue(
     return max(ssr_value(dataset, beta0, prior_factors) / dataset.n_units, 0.0)
 
 
-def _deflated_residual(
-    dataset: PanelDataset, beta0: np.ndarray, prior: list[FactorGroup]
-) -> np.ndarray:
-    u = dataset.y - dataset.x @ np.asarray(beta0, dtype=float)
-    for g in prior:
-        if g.dim:
-            u = u - g.loadings @ g.factors.T
-    return u
-
-
 def extract_group(
     dataset: PanelDataset,
     beta0: np.ndarray,
@@ -146,10 +136,13 @@ def extract_group(
     global_anchor = prior and config.threshold_rule == THRESHOLD_GLOBAL
     tau = threshold_tau(prior[0].mock_eigenvalue if global_anchor else mock, n)
 
-    u = _deflated_residual(dataset, beta0, prior)
+    r = dataset.y - dataset.x @ np.asarray(beta0, dtype=float)
+    u = r
+    for g in prior:
+        if g.dim:
+            u = u - g.loadings @ g.factors.T
     # the extracted groups explain the panel to rounding error: nothing
     # is left to estimate, so the group comes back empty
-    r = dataset.y - dataset.x @ np.asarray(beta0, dtype=float)
     baseline = float(np.sum(r * r)) / n
     k = config.d_max + 1
     if float(np.sum(u * u)) / n <= 1e-12 * baseline:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    NotConvergedError,
     RankDeficientError,
     SingularCovarianceError,
     SingularLoadingsError,
@@ -155,14 +154,11 @@ def fit_final(
 def fit_ipc(dataset: PanelDataset, config: IpcConfig | None = None) -> IpcFit:
     """Run the full three-step pipeline on a validated dataset.
 
-    A capped (non-converged) initial minimization is used as-is; the
-    ``converged`` flag on the fit records it.
+    An initial minimization that hit its iteration cap is used as-is;
+    ``converged=False`` on the fit is the only sign of it.
     """
     config = config or IpcConfig()
     validate(dataset, config)
-    try:
-        init = fit_initial(dataset, config)
-    except NotConvergedError as exc:
-        init = exc.result
+    init = fit_initial(dataset, config)
     groups = iterate_groups(dataset, init.beta0, config)
     return fit_final(dataset, init, groups, config)

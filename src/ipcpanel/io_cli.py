@@ -183,8 +183,7 @@ def fit_to_json_dict(
 ) -> dict:
     """JSON-ready mapping for ``fit.json``; reals become decimal strings."""
     config = fit.config.to_dict()
-    for key in ("delta", "als_tol", "als_coef_tol"):
-        config[key] = _real(config[key])
+    config["delta"] = _real(config["delta"])
     doc = {
         "n_units": int(fit.loadings_combined.shape[0]),
         "n_periods": int(fit.factors_combined.shape[0]),
@@ -375,6 +374,12 @@ def _run_estimate(args) -> None:
         raise _UsageError(str(exc)) from exc
     dataset = load_long_csv(args.data, schema)
     fit = fit_ipc(dataset, config)
+    if not fit.converged:
+        print(
+            f"warning: the initial ALS step hit its cap of {fit.als_iterations} "
+            "iterations without converging",
+            file=sys.stderr,
+        )
     if args.wald_r_matrix is not None:
         r_matrix = _load_matrix_csv(args.wald_r_matrix)
         r_vector = _load_matrix_csv(args.wald_r_vector).ravel()

@@ -98,6 +98,9 @@ class PanelDataset:
 class IpcConfig:
     """Tuning knobs for the three-step pipeline.
 
+    The initial step's stopping rule is fixed: see ``ALS_TOL``,
+    ``ALS_COEF_TOL`` and ``ALS_MAX_ITER`` in ``init_estimator``.
+
     Parameters
     ----------
     delta : float
@@ -105,18 +108,6 @@ class IpcConfig:
     d_max : int
         Number of factors carried in the initial step and the cap on each
         group's dimension.
-    als_tol : float
-        Relative change in the sum of squared residuals below which the
-        initial alternating minimization stops.
-    als_coef_tol : float
-        Relative change in the coefficient vector below which the initial
-        alternating minimization stops; 0 disables this rule and iterates
-        to ``als_tol``. The default 1e-2 stops once the slope settles at
-        the percent level, which is what the bundled simulation study is
-        calibrated to; full convergence makes the initial estimator much
-        closer to the corrected one.
-    als_max_iter : int
-        Iteration cap for the alternating minimization.
     threshold_rule : str
         ``"pergroup"`` recomputes the selection threshold from each
         group's mock eigenvalue; ``"global"`` fixes it at group one's.
@@ -124,9 +115,6 @@ class IpcConfig:
 
     delta: float = 1.0
     d_max: int = 10
-    als_tol: float = 1e-8
-    als_coef_tol: float = 1e-2
-    als_max_iter: int = 1000
     threshold_rule: str = THRESHOLD_PER_GROUP
 
     def __post_init__(self):
@@ -134,12 +122,6 @@ class IpcConfig:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
-        if self.als_tol <= 0:
-            raise ValueError(f"als_tol must be > 0, got {self.als_tol}")
-        if self.als_coef_tol < 0:
-            raise ValueError(f"als_coef_tol must be >= 0, got {self.als_coef_tol}")
-        if self.als_max_iter < 1:
-            raise ValueError(f"als_max_iter must be >= 1, got {self.als_max_iter}")
         if self.threshold_rule not in (THRESHOLD_PER_GROUP, THRESHOLD_GLOBAL):
             raise ValueError(f"unknown threshold_rule {self.threshold_rule!r}")
 
@@ -214,21 +196,18 @@ class IpcFit:
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """Simulation ground truth; the exponent metadata is never consumed by
-    the estimators."""
+    """Simulation ground truth."""
 
     beta_true: np.ndarray
     factors_true: np.ndarray
     loadings_true: np.ndarray
     group_dims: tuple[int, ...]
-    nu_exponents: tuple[float, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "beta_true", _freeze(self.beta_true))
         object.__setattr__(self, "factors_true", _freeze(self.factors_true))
         object.__setattr__(self, "loadings_true", _freeze(self.loadings_true))
         object.__setattr__(self, "group_dims", tuple(int(d) for d in self.group_dims))
-        object.__setattr__(self, "nu_exponents", tuple(float(v) for v in self.nu_exponents))
         if sum(self.group_dims) != self.factors_true.shape[1]:
             raise DimensionMismatchError(
                 "group_dims must sum to the number of true factor columns"

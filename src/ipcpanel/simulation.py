@@ -99,7 +99,6 @@ def generate_dgp1(spec: Dgp1Spec) -> tuple[PanelDataset, TruthSpec]:
         factors_true=factors,
         loadings_true=gamma,
         group_dims=(1, 1, 1),
-        nu_exponents=(3.0, 2.0, 1.0),
     )
     return dataset, truth
 

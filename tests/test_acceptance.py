@@ -16,6 +16,7 @@ import types
 import numpy as np
 import pytest
 
+from ipcpanel import init_estimator
 from ipcpanel.factor_selection import mock_eigenvalue
 from ipcpanel.final_estimator import fit_ipc, z_matrices
 from ipcpanel.inference import (
@@ -222,15 +223,18 @@ def test_criterion_08_oracle_equivalence():
     )
 
 
-def test_criterion_09_als_monotonicity():
+def test_criterion_09_als_monotonicity(monkeypatch):
     # fit_initial raises MonotonicityError the moment any step raises the
     # objective, so every fit in this suite enforces the property; verify
-    # the recorded paths directly on a batch of fresh fits
+    # the recorded paths directly on a batch of fresh fits, with the default
+    # stopping rule and iterated to ALS_TOL
     worst = -np.inf
+    coef_tols = (init_estimator.ALS_COEF_TOL, 0.0)
     for draw in range(10):
         ds, _ = generate_dgp1(Dgp1Spec(40, 40, seed=SEED + 3000 + draw))
-        for coef_tol in (MC_CONFIG.als_coef_tol, 0.0):
-            init = fit_initial(ds, dataclasses.replace(MC_CONFIG, als_coef_tol=coef_tol))
+        for coef_tol in coef_tols:
+            monkeypatch.setattr(init_estimator, "ALS_COEF_TOL", coef_tol)
+            init = fit_initial(ds, MC_CONFIG)
             path = init.ssr_path
             worst = max(worst, float(np.max(np.diff(path) / path[0])))
     report(

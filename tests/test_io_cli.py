@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ipcpanel import simulation
+from ipcpanel import init_estimator, simulation
 from ipcpanel.errors import (
     CsvParseError,
     DuplicateCellError,
@@ -244,11 +244,29 @@ def test_estimate_cli_matches_in_process_pipeline(tmp_path):
         "--dmax", "5", "--out", str(tmp_path / "fit"),
     )
     assert out.returncode == 0, out.stderr
+    assert out.stderr == ""  # converged: no warning
     doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
     expected = fit_ipc(ds, IpcConfig(d_max=5))
     got = np.array([float(v) for v in doc["beta"]])
     assert np.allclose(got, expected.beta, atol=1e-12)
     assert doc["group_dims"] == [g.dim for g in expected.groups]
+
+
+def test_estimate_warns_when_the_initial_step_hits_its_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(init_estimator, "ALS_MAX_ITER", 1)
+    ds, _ = generate_dgp1(Dgp1Spec(20, 18, seed=51))
+    path = tmp_path / "panel.csv"
+    dataset_to_csv(path, ds)
+    code = cli_main([
+        "estimate", "--data", str(path), "--x-cols", "x1,x2",
+        "--dmax", "5", "--out", str(tmp_path / "fit"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: the initial ALS step hit its cap of 1 iterations without converging\n"
+    )
+    doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert doc["convergence"] == {"als_iterations": 1, "converged": False}
 
 
 def test_simulate_cli_outputs_are_deterministic(tmp_path):

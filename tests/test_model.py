@@ -89,10 +89,14 @@ def test_config_field_validation():
     with pytest.raises(ValueError):
         IpcConfig(d_max=0)
     with pytest.raises(ValueError):
-        IpcConfig(als_tol=0.0)
-    with pytest.raises(ValueError):
         IpcConfig(threshold_rule="sometimes")
-    assert IpcConfig(als_coef_tol=0.0).als_coef_tol == 0.0
+
+
+def test_config_holds_only_the_cli_settings():
+    # the initial step's stopping rule is fixed in init_estimator
+    assert list(IpcConfig().to_dict()) == ["delta", "d_max", "threshold_rule"]
+    with pytest.raises(TypeError):
+        IpcConfig(als_max_iter=10)
 
 
 def test_truth_spec_dimension_check():

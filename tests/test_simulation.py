@@ -34,7 +34,6 @@ def test_trend_factor_is_the_time_index():
 def test_truth_metadata():
     ds, truth = generate_dgp1(Dgp1Spec(8, 10, seed=1))
     assert truth.group_dims == (1, 1, 1)
-    assert truth.nu_exponents == (3.0, 2.0, 1.0)
     assert truth.beta_true.tolist() == [1.0, 1.0]
     assert truth.factors_true.shape == (10, 3)
     assert truth.loadings_true.shape == (8, 3)
