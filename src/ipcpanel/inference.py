@@ -70,12 +70,15 @@ class JackknifeResult:
 
     ``sub_estimates`` rows hold, in order, the estimates from the first
     and second unit halves and from the odd- and even-numbered periods.
+    ``sub_converged`` tells, per half, whether its initial ALS step
+    converged before the iteration cap.
     """
 
     beta_bc: np.ndarray
     sub_estimates: np.ndarray
     beta_full: np.ndarray
     sub_group_dims: dict[str, tuple[int, ...]]
+    sub_converged: dict[str, bool]
 
 
 def unit_variances(dataset: PanelDataset, fit: IpcFit) -> np.ndarray:
@@ -181,6 +184,7 @@ def jackknife_bias_correct(dataset: PanelDataset, fit: IpcFit) -> JackknifeResul
     }
     estimates = []
     dims = {}
+    converged = {}
     for name in _SUB_PANELS:
         try:
             sub_fit = fit_ipc(subsets[name], fit.config)
@@ -188,12 +192,14 @@ def jackknife_bias_correct(dataset: PanelDataset, fit: IpcFit) -> JackknifeResul
             raise SubPanelError(name, exc) from exc
         estimates.append(sub_fit.beta)
         dims[name] = tuple(g.dim for g in sub_fit.groups)
+        converged[name] = bool(sub_fit.converged)
     sub = np.asarray(estimates)
     return JackknifeResult(
         beta_bc=3.0 * fit.beta - 0.5 * sub.sum(axis=0),
         sub_estimates=sub,
         beta_full=fit.beta,
         sub_group_dims=dims,
+        sub_converged=converged,
     )
 
 

@@ -11,15 +11,19 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
+from . import init_estimator
 from .errors import (
     CsvParseError,
     DataError,
@@ -62,12 +66,70 @@ class LongCsvSchema:
             raise MissingColumnError("at least one regressor column is required")
 
 
+#: rows per column-wise parse step. A small chunk bounds the rows held as
+#: Python strings, and its row lists are freed before the garbage collector
+#: promotes them: on a 40k-row file, in a process holding numpy and scipy,
+#: 4096-row chunks parsed about twice as slowly as 512-row ones.
+_CHUNK_ROWS = 512
+
+
 def _sort_labels(labels):
-    """Numeric order when every label parses as a number, else lexicographic."""
+    """Numeric order when every label parses as a non-NaN number, else
+    lexicographic (a NaN key would make ``sorted`` follow the input order)."""
     try:
-        return sorted(labels, key=lambda s: (float(s), s))
+        keys = [float(s) for s in labels]
     except ValueError:
         return sorted(labels)
+    if any(math.isnan(k) for k in keys):
+        return sorted(labels)
+    return [s for _, s in sorted(zip(keys, labels))]
+
+
+def _label_codes(column, codes: dict[str, int]) -> np.ndarray:
+    """Each label's integer code; a new label takes the next code."""
+    return np.fromiter(
+        (codes.setdefault(s, len(codes)) for s in column), dtype=np.intp, count=len(column)
+    )
+
+
+def _ranks(codes: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """Sorted labels, and each first-seen code's position among them."""
+    labels = _sort_labels(list(codes))
+    rank = np.empty(len(labels), dtype=np.intp)
+    for position, label in enumerate(labels):
+        rank[codes[label]] = position
+    return labels, rank
+
+
+def _raise_first_fault(path: str, schema: LongCsvSchema) -> NoReturn:
+    """Rescan ``path`` row by row and raise its first fault in file order.
+
+    Called only once the column-wise parse has found a short row, an
+    unparsable value or a repeated cell; it locates the fault, with the
+    physical line where the record ends, and builds nothing.
+    """
+    value_columns = (schema.y_column,) + schema.x_columns
+    seen = set()
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        for record in reader:
+            row = reader.line_num
+            unit = record[schema.unit_column]
+            time = record[schema.time_column]
+            if unit is None or time is None:
+                raise CsvParseError(row, f"row {row}: short row")
+            try:
+                for c in value_columns:
+                    float(record[c])
+            except (TypeError, ValueError) as exc:
+                raise CsvParseError(row, f"row {row}: {exc}") from exc
+            key = (unit, time)
+            if key in seen:
+                raise DuplicateCellError(
+                    f"duplicate (unit, time) cell {key} at row {row}"
+                )
+            seen.add(key)
+    raise AssertionError(f"{path}: the column-wise parse saw a fault the row scan did not")
 
 
 def load_long_csv(path: str, schema: LongCsvSchema) -> PanelDataset:
@@ -77,57 +139,70 @@ def load_long_csv(path: str, schema: LongCsvSchema) -> PanelDataset:
     irrelevant. Raises MissingColumnError, CsvParseError (with the file
     row number), DuplicateCellError, or UnbalancedPanelError (listing up
     to 10 missing pairs).
+
+    The file is parsed column-wise, ``_CHUNK_ROWS`` rows at a time: each
+    chunk's values become floats in one numpy call and its labels become
+    first-seen integer codes. A faulty file is rescanned row by row, so
+    the error raised is the first in file order.
     """
     needed = (schema.unit_column, schema.time_column, schema.y_column) + schema.x_columns
-    cells: dict[tuple[str, str], tuple[float, ...]] = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise CsvParseError(1, f"{path} is empty")
-        missing = [c for c in needed if c not in reader.fieldnames]
+        missing = [c for c in needed if c not in header]
         if missing:
             raise MissingColumnError(f"missing columns {missing} in {path}")
-        for record in reader:
-            row = reader.line_num
-            unit = record[schema.unit_column]
-            time = record[schema.time_column]
-            if unit is None or time is None:
-                raise CsvParseError(row, f"row {row}: short row")
+        # a repeated name reads its last column, as csv.DictReader does
+        index = {name: j for j, name in enumerate(header)}
+        picks = [index[c] for c in needed]
+        unit_j, time_j, *value_js = picks
+        width = max(picks) + 1
+        units: dict[str, int] = {}
+        times: dict[str, int] = {}
+        unit_codes = [np.empty(0, dtype=np.intp)]
+        time_codes = [np.empty(0, dtype=np.intp)]
+        values = [np.empty((len(value_js), 0))]
+        for chunk in iter(lambda: list(itertools.islice(reader, _CHUNK_ROWS)), []):
+            rows = list(filter(None, chunk))  # csv.DictReader skips blank lines
+            if not rows:
+                continue
+            if min(map(len, rows)) < width:
+                _raise_first_fault(path, schema)
+            columns = list(zip(*rows))
             try:
-                values = tuple(
-                    float(record[c]) for c in (schema.y_column,) + schema.x_columns
-                )
-            except (TypeError, ValueError) as exc:
-                raise CsvParseError(row, f"row {row}: {exc}") from exc
-            key = (unit, time)
-            if key in cells:
-                raise DuplicateCellError(
-                    f"duplicate (unit, time) cell {key} at row {row}"
-                )
-            cells[key] = values
+                values.append(np.array([columns[j] for j in value_js], dtype=float))
+            except ValueError:
+                _raise_first_fault(path, schema)
+            unit_codes.append(_label_codes(columns[unit_j], units))
+            time_codes.append(_label_codes(columns[time_j], times))
 
-    units = _sort_labels({u for u, _ in cells})
-    times = _sort_labels({t for _, t in cells})
-    missing_pairs = [
-        (u, t) for u in units for t in times if (u, t) not in cells
-    ]
-    if missing_pairs:
-        shown = missing_pairs[:10]
+    unit_labels, unit_rank = _ranks(units)
+    time_labels, time_rank = _ranks(times)
+    n, t, d_x = len(unit_labels), len(time_labels), len(schema.x_columns)
+    flat = unit_rank[np.concatenate(unit_codes)] * t + time_rank[np.concatenate(time_codes)]
+    counts = np.bincount(flat, minlength=n * t)
+    if np.any(counts > 1):
+        _raise_first_fault(path, schema)
+    holes = np.flatnonzero(counts == 0)
+    if holes.size:
+        shown = [(unit_labels[k // t], time_labels[k % t]) for k in holes[:10].tolist()]
         raise UnbalancedPanelError(
             shown,
-            f"panel is unbalanced; {len(missing_pairs)} missing (unit, time) "
+            f"panel is unbalanced; {holes.size} missing (unit, time) "
             f"pairs, first {len(shown)}: {shown}",
         )
 
-    n, t, d_x = len(units), len(times), len(schema.x_columns)
-    y = np.empty((n, t))
-    x = np.empty((n, t, d_x))
-    for i, u in enumerate(units):
-        for s, tm in enumerate(times):
-            row = cells[(u, tm)]
-            y[i, s] = row[0]
-            x[i, s, :] = row[1:]
-    dataset = PanelDataset(y=y, x=x, unit_labels=tuple(units), time_labels=tuple(times))
+    cell_values = np.concatenate(values, axis=1)
+    y = np.empty(n * t)
+    y[flat] = cell_values[0]
+    x = np.empty((n * t, d_x))
+    x[flat] = cell_values[1:].T
+    dataset = PanelDataset(
+        y=y.reshape(n, t), x=x.reshape(n, t, d_x),
+        unit_labels=tuple(unit_labels), time_labels=tuple(time_labels),
+    )
     validate_dataset(dataset)
     return dataset
 
@@ -220,6 +295,7 @@ def fit_to_json_dict(
             "sub_group_dims": {
                 k: list(v) for k, v in jackknife.sub_group_dims.items()
             },
+            "sub_converged": dict(jackknife.sub_converged),
         }
     return doc
 
@@ -394,6 +470,14 @@ def _run_estimate(args) -> None:
                 (name, wald_test(dataset, fit, WaldSpec(basis, np.zeros(1))))
             )
     jackknife = jackknife_bias_correct(dataset, fit) if args.jackknife else None
+    if jackknife is not None:
+        for name, converged in jackknife.sub_converged.items():
+            if not converged:
+                print(
+                    f"warning: the jackknife half {name}: the initial ALS step hit "
+                    f"its cap of {init_estimator.ALS_MAX_ITER} iterations without converging",
+                    file=sys.stderr,
+                )
     write_fit(fit, tests, args.out, jackknife=jackknife)
 
 

@@ -256,6 +256,7 @@ def test_jackknife_identity_and_splits():
     assert set(out.sub_group_dims) == {
         "units_first_half", "units_second_half", "periods_odd", "periods_even",
     }
+    assert out.sub_converged == dict.fromkeys(out.sub_group_dims, True)
 
 
 def test_jackknife_reuses_the_full_fit(monkeypatch):

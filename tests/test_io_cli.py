@@ -1,14 +1,20 @@
 import csv
 import json
+import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ipcpanel import init_estimator, simulation
+from ipcpanel import init_estimator, io_cli, simulation
 from ipcpanel.errors import (
     CsvParseError,
+    DimensionMismatchError,
     DuplicateCellError,
     MissingColumnError,
     SingularDesignError,
@@ -119,6 +125,179 @@ def test_missing_column_and_parse_errors(tmp_path):
     with pytest.raises(CsvParseError) as err:
         load_long_csv(str(bad), SCHEMA)
     assert err.value.row == 4  # header is line 1
+
+
+NONE_TO_FLOAT = "float() argument must be a string or a real number, not 'NoneType'"
+
+
+@pytest.mark.parametrize(
+    "text, error, row, message",
+    [
+        pytest.param(
+            "id,time,y,x1\na,1,1,2\n\na,2,bad,3\n",
+            CsvParseError, 4, "row 4: could not convert string to float: 'bad'",
+            id="blank-line-before-bad-value",
+        ),
+        pytest.param(
+            'id,time,y,x1\n"a\nb",1,1,2\n"a\nb",2,bad,3\n',
+            CsvParseError, 5, "row 5: could not convert string to float: 'bad'",
+            id="multi-line-label-reports-the-line-its-record-ends",
+        ),
+        pytest.param(
+            "id,time,y,x1\na,1,1,2\na\n",
+            CsvParseError, 3, "row 3: short row", id="no-time-column",
+        ),
+        pytest.param(
+            "id,time,y,x1\na,1,1,2\na,2,3\n",
+            CsvParseError, 3, f"row 3: {NONE_TO_FLOAT}", id="no-x-column",
+        ),
+        pytest.param(
+            "id,time,y,x1\na,1,1,2\na,1,3,4\nb,1,1,2\nb,2,bad,3\n",
+            DuplicateCellError, None, "duplicate (unit, time) cell ('a', '1') at row 3",
+            id="duplicate-before-bad-value",
+        ),
+        pytest.param(
+            "id,time,y,x1\na,1,bad,2\na,2,3,4\na,1,1,2\n",
+            CsvParseError, 2, "row 2: could not convert string to float: 'bad'",
+            id="bad-value-before-duplicate",
+        ),
+        pytest.param(
+            "id,time,y,x1\n",
+            DimensionMismatchError, None, "need N >= 2, T >= 2, d_x >= 1; got N=0, T=0, d_x=1",
+            id="header-only",
+        ),
+        pytest.param("", CsvParseError, 1, "{path} is empty", id="empty-file"),
+    ],
+)
+def test_loader_errors_name_type_row_and_message(tmp_path, text, error, row, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(error) as err:
+        load_long_csv(str(path), SCHEMA)
+    assert str(err.value) == message.format(path=path)
+    assert getattr(err.value, "row", None) == row
+
+
+def test_quoted_comma_label_and_crlf_endings(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        'id,time,y,x1\r\n"a,1",1,1,2\r\n"a,1",2,1,3\r\nb,1,1,3\r\nb,2,2,5\r\n', newline=""
+    )
+    ds = load_long_csv(str(path), SCHEMA)
+    assert ds.unit_labels == ("a,1", "b")
+    assert ds.y.tolist() == [[1.0, 1.0], [1.0, 2.0]]
+
+
+def test_extra_trailing_field_is_ignored(tmp_path):
+    path = tmp_path / "panel.csv"
+    rows = minimal_rows()
+    rows[1].append("extra")
+    write_rows(path, rows)
+    ds = load_long_csv(str(path), SCHEMA)
+    write_rows(path, minimal_rows())
+    assert np.array_equal(ds.x, load_long_csv(str(path), SCHEMA).x)
+
+
+def test_repeated_header_name_reads_its_last_column(tmp_path):
+    path = tmp_path / "panel.csv"
+    rows = [[u, s, -1.0, x, y] for u, s, y, x in minimal_rows()]
+    write_rows(path, rows, header=("id", "time", "y", "x1", "y"))
+    ds = load_long_csv(str(path), SCHEMA)
+    assert ds.y.tolist() == [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]
+
+
+def write_panel(path, y, x, units, times, order):
+    """Long CSV of the panel's cells in the given flat (unit-major) order, at repr precision."""
+    t = y.shape[1]
+    header = ["id", "time", "y"] + [f"x{j + 1}" for j in range(x.shape[2])]
+    rows = []
+    for k in order:
+        i, s = divmod(k, t)
+        rows.append([units[i], times[s], repr(float(y[i, s]))] + [repr(float(v)) for v in x[i, s]])
+    write_rows(path, rows, header=header)
+
+
+def assert_loads_back(path, y, x, units, times):
+    d_x = x.shape[2]
+    ds = load_long_csv(str(path), LongCsvSchema(x_columns=tuple(f"x{j + 1}" for j in range(d_x))))
+    assert ds.unit_labels == tuple(units) and ds.time_labels == tuple(times)
+    assert ds.y.tobytes() == y.tobytes() and ds.x.tobytes() == x.tobytes()
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300)  # spans stay finite
+
+
+@st.composite
+def labels(draw, size):
+    """`size` distinct labels in the loader's order: all numeric or all strings."""
+    if draw(st.booleans()):
+        keys = draw(st.lists(finite, min_size=size, max_size=size, unique_by=repr))
+        return [repr(k) for k in sorted(keys, key=lambda k: (k, repr(k)))]
+    text = st.text(alphabet='ab ,"\n\r;é', max_size=4).map(lambda s: "u" + s)
+    return sorted(draw(st.lists(text, min_size=size, max_size=size, unique=True)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_round_trip_is_bit_exact(tmp_path_factory, data):
+    n, t, d_x = data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)), data.draw(st.integers(1, 3))
+    y = np.array(data.draw(st.lists(finite, min_size=n * t, max_size=n * t))).reshape(n, t)
+    x = np.array(data.draw(st.lists(finite, min_size=n * t * d_x, max_size=n * t * d_x)))
+    x = x.reshape(n, t, d_x)
+    assume(np.all(x.min(axis=1) < x.max(axis=1)))  # each regressor varies over time
+    units, times = data.draw(labels(n)), data.draw(labels(t))
+    path = tmp_path_factory.mktemp("round_trip") / "panel.csv"
+    write_panel(path, y, x, units, times, data.draw(st.permutations(range(n * t))))
+    assert_loads_back(path, y, x, units, times)
+
+
+def test_round_trip_and_faults_across_chunks(tmp_path):
+    n, t = 80, 80
+    assert n * t > 2 * io_cli._CHUNK_ROWS  # the rows span several chunks
+    rng = np.random.default_rng(5)
+    y, x = rng.normal(size=(n, t)), rng.normal(size=(n, t, 2))
+    units, times = [str(i) for i in range(n)], [str(s) for s in range(t)]
+    path = tmp_path / "panel.csv"
+    write_panel(path, y, x, units, times, rng.permutation(n * t))
+    assert_loads_back(path, y, x, units, times)
+    lines = path.read_text().splitlines(keepends=True)
+    # a repeat of line 2 in the first chunk beats a bad value in a later one
+    faulty = lines[:2] + lines[1:2] + lines[2:6200] + ["0,0,bad,1,2\n"] + lines[6200:]
+    path.write_text("".join(faulty))
+    with pytest.raises(DuplicateCellError, match="at row 3$"):
+        load_long_csv(str(path), LongCsvSchema(x_columns=("x1", "x2")))
+    path.write_text("".join(lines[:6000] + ["\n", "0,0,1,2\n"] + lines[6000:]))
+    with pytest.raises(CsvParseError, match=f"^row 6002: {re.escape(NONE_TO_FLOAT)}$"):
+        load_long_csv(str(path), LongCsvSchema(x_columns=("x1", "x2")))
+
+
+def test_loading_a_200_by_200_panel_stays_below_8_mib(tmp_path):
+    """The chunked column-wise parse peaks near 5 MiB; a whole-file row list near 14."""
+    rng = np.random.default_rng(9)
+    n = t = 200
+    y, x = rng.normal(size=(n, t)), rng.normal(size=(n, t, 2))
+    path = tmp_path / "panel.csv"
+    write_panel(path, y, x, [str(i + 1) for i in range(n)], [str(s + 1) for s in range(t)],
+                range(n * t))
+    tracemalloc.start()
+    try:
+        load_long_csv(str(path), LongCsvSchema(x_columns=("x1", "x2")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def test_nan_label_sorts_the_labels_lexicographically(tmp_path):
+    rows = [[u, s, float(s) + i, float(s * (i + 1))] for i, u in enumerate(("3", "nan", "10", "2"))
+            for s in (1, 2)]
+    path = tmp_path / "panel.csv"
+    for order in (rows, rows[::-1]):
+        write_rows(path, order)
+        ds = load_long_csv(str(path), SCHEMA)
+        assert ds.unit_labels == ("10", "2", "3", "nan")
+        assert ds.time_labels == ("1", "2")
+        assert ds.y[:, 0].tolist() == [3.0, 4.0, 1.0, 2.0]
 
 
 # --- write_fit -------------------------------------------------------------------
@@ -269,6 +448,58 @@ def test_estimate_warns_when_the_initial_step_hits_its_cap(tmp_path, capsys, mon
     assert doc["convergence"] == {"als_iterations": 1, "converged": False}
 
 
+def test_estimate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    ds, _ = generate_dgp1(Dgp1Spec(12, 16, seed=81))
+    units = ["nan"] + [str(i) for i in range(1, 12)]
+    path = tmp_path / "panel.csv"
+    write_panel(path, ds.y, ds.x, units, [str(s + 1) for s in range(16)], range(12 * 16))
+    outputs = []
+    for seed in ("0", "3"):  # two seeds that order a set of these labels differently
+        out = subprocess.run(
+            [sys.executable, "-m", "ipcpanel", "estimate", "--data", str(path),
+             "--x-cols", "x1,x2", "--dmax", "3", "--out", str(tmp_path / seed)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert out.returncode == 0, out.stderr
+        outputs.append([(tmp_path / seed / name).read_bytes() for name in ("fit.json", "loadings.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_jackknife_reports_each_capped_half(tmp_path, capsys, monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+    import importlib.resources as resources
+
+    ds, _ = generate_dgp1(Dgp1Spec(40, 40, seed=71))
+    path = tmp_path / "panel.csv"
+    dataset_to_csv(path, ds)
+    real_jackknife = io_cli.jackknife_bias_correct
+
+    def jackknife_with_capped_halves(dataset, fit):
+        assert fit.converged and fit.als_iterations > 2
+        monkeypatch.setattr(init_estimator, "ALS_MAX_ITER", 2)
+        return real_jackknife(dataset, fit)
+
+    monkeypatch.setattr(io_cli, "jackknife_bias_correct", jackknife_with_capped_halves)
+    code = cli_main([
+        "estimate", "--data", str(path), "--x-cols", "x1,x2", "--jackknife",
+        "--out", str(tmp_path / "fit"),
+    ])
+    assert code == 0
+    halves = ("units_first_half", "units_second_half", "periods_odd", "periods_even")
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: the jackknife half {name}: the initial ALS step hit its cap of 2 "
+        "iterations without converging"
+        for name in halves
+    ]
+    doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert doc["convergence"]["converged"] is True
+    assert doc["jackknife"]["sub_converged"] == dict.fromkeys(halves, False)
+    schema = json.loads(
+        (resources.files("ipcpanel") / "schemas" / "fit.schema.json").read_text()
+    )
+    jsonschema.validate(doc, schema)
+
+
 def test_simulate_cli_outputs_are_deterministic(tmp_path):
     args = ("simulate", "--dgp1", "--n", "24", "--t", "24", "--reps", "3", "--seed", "7")
     first = run_cli(*args, "--out", str(tmp_path / "one"))
@@ -390,6 +621,8 @@ def test_custom_wald_restriction_and_jackknife(tmp_path):
     subs = np.array([[float(v) for v in row] for row in jk["sub_estimates"]])
     bc = np.array([float(v) for v in jk["beta_bc"]])
     assert np.allclose(bc, 3.0 * beta - 0.5 * subs.sum(axis=0), atol=1e-12)
+    assert jk["sub_converged"] == dict.fromkeys(jk["sub_group_dims"], True)
+    assert out.stderr == ""
     # only one of the pair is a usage error
     out = run_cli(
         "estimate", "--data", str(path), "--x-cols", "x1,x2",
