@@ -21,7 +21,7 @@ from .errors import (
     ZeroLoadingsError,
 )
 from .final_estimator import fit_ipc, residual_variances, sandwich_covariance, z_matrices
-from .init_estimator import annihilate_regressors, beta_given_f
+from .init_estimator import beta_given_f
 from .model import FactorGroup, IpcFit, PanelDataset
 from .numerics import RANK_RTOL, chi2_sf, solve_spd
 
@@ -55,13 +55,17 @@ class WaldSpec:
 
 @dataclass(frozen=True)
 class InferenceResult:
-    """Sandwich covariance with the Wald statistic and its p-value."""
+    """The tested slope, its sandwich covariance, the Wald statistic and its p-value."""
 
+    beta: np.ndarray
     covariance: np.ndarray
-    std_errors: np.ndarray
     wald_stat: float
     dof: int
     p_value: float
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ def _wald(beta: np.ndarray, cov: np.ndarray, spec: WaldSpec) -> InferenceResult:
     stat = float(gap @ solve_spd(restricted, gap, SingularCovarianceError))
     stat = max(stat, 0.0)
     return InferenceResult(
+        beta=beta,
         covariance=cov,
-        std_errors=np.sqrt(np.maximum(np.diag(cov), 0.0)),
         wald_stat=stat,
         dof=spec.dof,
         p_value=chi2_sf(stat, spec.dof),
@@ -136,33 +140,28 @@ def wald_variants(
 ) -> InferenceResult:
     """Wald tests for the uncorrected estimators and the known-factor benchmark.
 
-    ``variant`` selects the estimator/factor pair: ``"beta0"`` uses the
-    initial slope with the d_max-dimensional initial factor estimate,
+    ``variant`` selects the slope, factors and loadings: ``"beta0"`` uses
+    the initial slope with the d_max-dimensional initial factor estimate,
     ``"beta1"`` the factor-conditional slope with the selected factors,
     and ``"oracle"`` the least-squares slope treating ``truth_factors``
-    as known (with plain projected regressors in place of Z). The
-    covariance is the sandwich of :func:`wald_test` at that slope.
+    as known, with no loadings (so Z is the projected regressors); the
+    other two variants ignore ``truth_factors``. The covariance is the
+    sandwich of :func:`wald_test` at that slope.
     """
     if variant == "beta0":
         beta, f = fit.beta0, fit.factors_initial
-        resid = dataset.y - dataset.x @ beta
-        gamma = dataset.n_periods ** (-fit.config.delta) * (resid @ f)
-        z = z_matrices(dataset, f, gamma)
+        gamma = dataset.n_periods ** (-fit.config.delta) * ((dataset.y - dataset.x @ beta) @ f)
     elif variant == "beta1":
-        beta, f = fit.beta1, fit.factors_combined
-        z = z_matrices(dataset, f, fit.loadings_combined)
+        beta, f, gamma = fit.beta1, fit.factors_combined, fit.loadings_combined
     elif variant == "oracle":
         if truth_factors is None:
             raise InvalidDomainError("the oracle variant needs the true factor matrix")
         f = np.asarray(truth_factors, dtype=float)
-        beta = beta_given_f(dataset, f)
-        z = annihilate_regressors(dataset.x, f)
+        beta, gamma = beta_given_f(dataset, f), np.zeros((dataset.n_units, 0))
     else:
         raise InvalidDomainError(f"unknown variant {variant!r}")
+    z = z_matrices(dataset, f, gamma)
     return _wald(beta, sandwich_covariance(z, residual_variances(dataset, beta, f)), spec)
-
-
-_SUB_PANELS = ("units_first_half", "units_second_half", "periods_odd", "periods_even")
 
 
 def jackknife_bias_correct(dataset: PanelDataset, fit: IpcFit) -> JackknifeResult:
@@ -185,9 +184,9 @@ def jackknife_bias_correct(dataset: PanelDataset, fit: IpcFit) -> JackknifeResul
     estimates = []
     dims = {}
     converged = {}
-    for name in _SUB_PANELS:
+    for name, subset in subsets.items():
         try:
-            sub_fit = fit_ipc(subsets[name], fit.config)
+            sub_fit = fit_ipc(subset, fit.config)
         except (IpcError, np.linalg.LinAlgError) as exc:
             raise SubPanelError(name, exc) from exc
         estimates.append(sub_fit.beta)

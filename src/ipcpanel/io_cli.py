@@ -48,7 +48,7 @@ from .model import (
     PanelDataset,
     validate_dataset,
 )
-from .simulation import Dgp1Spec, McResult, run_monte_carlo
+from .simulation import ESTIMATORS, Dgp1Spec, McResult, run_monte_carlo
 
 
 @dataclass(frozen=True)
@@ -332,23 +332,18 @@ _TABLE_COLUMNS = [
     "n_units", "n_periods", "reps",
     "joint_selection_freq", "freq_d1", "freq_d2", "freq_d3",
     "rmse_projector",
-    "rmse_beta0", "rmse_beta1", "rmse_beta", "rmse_oracle",
-    "size_beta0", "size_beta1", "size_beta", "size_oracle",
+    *(f"rmse_{key}" for key in ESTIMATORS),
+    *(f"size_{key}" for key in ESTIMATORS),
 ]
 
 
 def _mc_table_row(spec: Dgp1Spec, result: McResult) -> list:
-    freq = result.per_group_freq
-    return [
-        spec.n_units, spec.n_periods, result.reps,
-        repr(result.joint_selection_freq),
-        repr(freq[0]), repr(freq[1]), repr(freq[2]),
-        repr(result.rmse_projector),
-        repr(result.rmse_beta["beta0"]), repr(result.rmse_beta["beta1"]),
-        repr(result.rmse_beta["beta"]), repr(result.rmse_beta["oracle"]),
-        repr(result.wald_size["beta0"]), repr(result.wald_size["beta1"]),
-        repr(result.wald_size["beta"]), repr(result.wald_size["oracle"]),
-    ]
+    reals = (
+        result.joint_selection_freq, *result.per_group_freq, result.rmse_projector,
+        *(result.rmse_beta[key] for key in ESTIMATORS),
+        *(result.wald_size[key] for key in ESTIMATORS),
+    )
+    return [spec.n_units, spec.n_periods, result.reps, *map(repr, reals)]
 
 
 def write_mc_result(
@@ -461,14 +456,11 @@ def _run_estimate(args) -> None:
         r_vector = _load_matrix_csv(args.wald_r_vector).ravel()
         tests = [("custom", wald_test(dataset, fit, WaldSpec(r_matrix, r_vector)))]
     else:
-        d_x = dataset.n_regressors
-        tests = []
-        for j, name in enumerate(schema.x_columns):
-            basis = np.zeros((1, d_x))
-            basis[0, j] = 1.0
-            tests.append(
-                (name, wald_test(dataset, fit, WaldSpec(basis, np.zeros(1))))
-            )
+        basis = np.eye(dataset.n_regressors)
+        tests = [
+            (name, wald_test(dataset, fit, WaldSpec(basis[j : j + 1], np.zeros(1))))
+            for j, name in enumerate(schema.x_columns)
+        ]
     jackknife = jackknife_bias_correct(dataset, fit) if args.jackknife else None
     if jackknife is not None:
         for name, converged in jackknife.sub_converged.items():

@@ -229,9 +229,9 @@ def validate_dataset(dataset: PanelDataset) -> None:
         raise NonFiniteDataError("y contains non-finite entries")
     if not np.all(np.isfinite(dataset.x)):
         raise NonFiniteDataError("x contains non-finite entries")
-    # exact-constant check: a regressor with no time variation for some unit
-    spans = np.ptp(dataset.x, axis=1)  # N x d_x
-    flat = np.argwhere(spans == 0.0)
+    # exact-constant check: a regressor with no time variation for some unit;
+    # comparing the extremes cannot overflow as their difference can
+    flat = np.argwhere(dataset.x.max(axis=1) == dataset.x.min(axis=1))  # N x d_x
     if flat.size:
         i, j = int(flat[0, 0]), int(flat[0, 1])
         raise TimeInvariantRegressorError(i, j, label=dataset.unit_labels[i])

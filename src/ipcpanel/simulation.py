@@ -17,16 +17,18 @@ import numpy as np
 
 from .errors import IpcError, MonteCarloError, RankDeficientError
 from .final_estimator import fit_ipc
-from .init_estimator import beta_given_f
 from .inference import WaldSpec, wald_test, wald_variants
 from .model import IpcConfig, PanelDataset, TruthSpec
 from .numerics import check_gram_rank
 
-#: estimator labels used in the RMSE and size maps
+#: the study's estimators, the keys of the RMSE and size maps: the initial,
+#: factor-conditional, corrected and known-factor slopes
 ESTIMATORS = ("beta0", "beta1", "beta", "oracle")
 
 #: DGP1's slope on its two regressors
 _DGP1_BETA = (1.0, 1.0)
+#: DGP1's three factor groups of one factor each
+_DGP1_GROUP_DIMS = (1, 1, 1)
 #: AR(1) coefficient of DGP1's regressor disturbances
 _DGP1_AR_COEFFICIENT = 0.5
 #: DGP1's disturbances of units i and j correlate at this base to the power |i - j|
@@ -98,7 +100,7 @@ def generate_dgp1(spec: Dgp1Spec) -> tuple[PanelDataset, TruthSpec]:
         beta_true=beta,
         factors_true=factors,
         loadings_true=gamma,
-        group_dims=(1, 1, 1),
+        group_dims=_DGP1_GROUP_DIMS,
     )
     return dataset, truth
 
@@ -147,19 +149,10 @@ class McResult:
     failure_messages: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "reps": self.reps,
-            "n_failures": self.n_failures,
-            "joint_selection_freq": self.joint_selection_freq,
-            "per_group_freq": list(self.per_group_freq),
-            "rmse_beta": dict(self.rmse_beta),
-            "rmse_projector": self.rmse_projector,
-            "wald_size": dict(self.wald_size),
-            "failure_messages": list(self.failure_messages),
-        }
+        return dataclasses.asdict(self)
 
 
-def _replicate(args: tuple[Dgp1Spec, IpcConfig, int]) -> tuple[int, dict | str]:
+def _replicate(args: tuple[Dgp1Spec, IpcConfig, int]) -> dict | str:
     spec, config, rep = args
     rep_spec = dataclasses.replace(spec, seed=spec.seed + rep)
     try:
@@ -168,31 +161,21 @@ def _replicate(args: tuple[Dgp1Spec, IpcConfig, int]) -> tuple[int, dict | str]:
         wald_spec = WaldSpec(
             r_matrix=np.eye(dataset.n_regressors), r_vector=truth.beta_true
         )
-        beta_oracle = beta_given_f(dataset, truth.factors_true)
-        rejections = {
-            "beta": wald_test(dataset, fit, wald_spec).p_value < 0.05,
-            "beta0": wald_variants(dataset, fit, wald_spec, "beta0").p_value < 0.05,
-            "beta1": wald_variants(dataset, fit, wald_spec, "beta1").p_value < 0.05,
-            "oracle": wald_variants(
-                dataset, fit, wald_spec, "oracle", truth_factors=truth.factors_true
-            ).p_value
-            < 0.05,
-        }
-        sq_err = {
-            "beta0": float(np.sum((fit.beta0 - truth.beta_true) ** 2)),
-            "beta1": float(np.sum((fit.beta1 - truth.beta_true) ** 2)),
-            "beta": float(np.sum((fit.beta - truth.beta_true) ** 2)),
-            "oracle": float(np.sum((beta_oracle - truth.beta_true) ** 2)),
-        }
-        record = {
+        tests = {"beta": wald_test(dataset, fit, wald_spec)}
+        for variant in ("beta0", "beta1", "oracle"):
+            tests[variant] = wald_variants(
+                dataset, fit, wald_spec, variant, truth_factors=truth.factors_true
+            )
+        return {
             "dims": tuple(g.dim for g in fit.groups),
-            "sq_err": sq_err,
+            "sq_err": {
+                key: float(np.sum((r.beta - truth.beta_true) ** 2)) for key, r in tests.items()
+            },
             "proj_sq": projector_distance(fit.factors_combined, truth.factors_true) ** 2,
-            "reject": rejections,
+            "reject": {key: r.p_value < 0.05 for key, r in tests.items()},
         }
-        return rep, record
     except (IpcError, np.linalg.LinAlgError) as exc:
-        return rep, f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_monte_carlo(
@@ -216,11 +199,10 @@ def run_monte_carlo(
             outcomes = list(pool.map(_replicate, tasks))
     else:
         outcomes = [_replicate(task) for task in tasks]
-    outcomes.sort(key=lambda pair: pair[0])
 
     records = []
     failures = []
-    for rep, payload in outcomes:
+    for rep, payload in enumerate(outcomes):
         if isinstance(payload, str):
             failures.append(f"rep {rep}: {payload}")
         else:
@@ -230,18 +212,10 @@ def run_monte_carlo(
             f"{len(failures)} of {reps} replications failed; first: {failures[0]}"
         )
 
-    true_dims = (1, 1, 1)
-    joint = float(np.mean([rec["dims"] == true_dims for rec in records]))
+    joint = float(np.mean([rec["dims"] == _DGP1_GROUP_DIMS for rec in records]))
     per_group = tuple(
-        float(
-            np.mean(
-                [
-                    len(rec["dims"]) > g and rec["dims"][g] == true_dims[g]
-                    for rec in records
-                ]
-            )
-        )
-        for g in range(3)
+        float(np.mean([len(rec["dims"]) > g and rec["dims"][g] == dim for rec in records]))
+        for g, dim in enumerate(_DGP1_GROUP_DIMS)
     )
     rmse_beta = {
         key: float(np.sqrt(np.mean([rec["sq_err"][key] for rec in records])))

@@ -89,6 +89,7 @@ def test_wald_zero_at_point_estimate(fitted):
     ds, _, fit = fitted
     spec = WaldSpec(np.eye(2), fit.beta.copy())
     out = wald_test(ds, fit, spec)
+    assert np.array_equal(out.beta, fit.beta)
     assert out.wald_stat == pytest.approx(0.0, abs=1e-18)
     assert out.p_value == 1.0
 
@@ -135,6 +136,7 @@ def test_variant_beta1_coincides_when_estimates_match(fitted):
     variant = wald_variants(ds, fit, spec, "beta1")
     cov = dense_sandwich(ds, fit.beta1, fit.factors_combined, fit.loadings_combined)
     gap = fit.beta1 - truth.beta_true
+    assert np.array_equal(variant.beta, fit.beta1)
     assert np.allclose(variant.covariance, cov, rtol=1e-10, atol=0.0)
     assert variant.wald_stat == pytest.approx(float(gap @ np.linalg.inv(cov) @ gap), rel=1e-10)
 
@@ -180,6 +182,7 @@ def test_oracle_variant_uses_known_factors(fitted):
     spec = WaldSpec(np.eye(2), truth.beta_true)
     out = wald_variants(ds, fit, spec, "oracle", truth_factors=truth.factors_true)
     beta_oracle = beta_given_f(ds, truth.factors_true)
+    assert np.array_equal(out.beta, beta_oracle)
     gap = beta_oracle - truth.beta_true
     expected = float(gap @ np.linalg.solve(out.covariance, gap))
     assert out.wald_stat == pytest.approx(expected, rel=1e-10)

@@ -224,7 +224,7 @@ def assert_loads_back(path, y, x, units, times):
     assert ds.y.tobytes() == y.tobytes() and ds.x.tobytes() == x.tobytes()
 
 
-finite = st.floats(min_value=-1e300, max_value=1e300)  # spans stay finite
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -362,9 +362,35 @@ def test_mc_result_validates_against_shipped_schema(tmp_path):
         (resources.files("ipcpanel") / "schemas" / "mc_result.schema.json").read_text()
     )
     jsonschema.validate(doc, schema)
-    table = (tmp_path / "table.csv").read_text().splitlines()
-    assert table[0].startswith("n_units,n_periods,reps,joint_selection_freq")
-    assert len(table) == 2
+
+
+def test_mc_table_cells_match_mc_result(tmp_path):
+    spec = Dgp1Spec(20, 20, seed=31)
+    config = IpcConfig(d_max=4)
+    write_mc_result(run_monte_carlo(spec, 2, config), spec, config, str(tmp_path))
+    doc = json.loads((tmp_path / "mc_result.json").read_text())
+    result = doc["result"]
+    with open(tmp_path / "table.csv", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == [
+        "n_units", "n_periods", "reps",
+        "joint_selection_freq", "freq_d1", "freq_d2", "freq_d3",
+        "rmse_projector",
+        "rmse_beta0", "rmse_beta1", "rmse_beta", "rmse_oracle",
+        "size_beta0", "size_beta1", "size_beta", "size_oracle",
+    ]
+    expected = {
+        "n_units": repr(doc["spec"]["n_units"]),
+        "n_periods": repr(doc["spec"]["n_periods"]),
+        "reps": repr(result["reps"]),
+        "joint_selection_freq": repr(result["joint_selection_freq"]),
+        "rmse_projector": repr(result["rmse_projector"]),
+    }
+    expected.update({f"freq_d{g + 1}": repr(v) for g, v in enumerate(result["per_group_freq"])})
+    expected.update({f"rmse_{key}": repr(v) for key, v in result["rmse_beta"].items()})
+    expected.update({f"size_{key}": repr(v) for key, v in result["wald_size"].items()})
+    assert len(rows) == 1
+    assert dict(zip(header, rows[0])) == expected
 
 
 def test_mc_result_names_failed_replications(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from ipcpanel.errors import (
     NonFiniteDataError,
     TimeInvariantRegressorError,
 )
-from ipcpanel.model import IpcConfig, PanelDataset, TruthSpec, validate
+from ipcpanel.model import IpcConfig, PanelDataset, TruthSpec, validate, validate_dataset
 
 from conftest import random_panel
 
@@ -30,6 +32,20 @@ def test_time_invariant_regressor_reports_unit_and_regressor():
         validate(bad, IpcConfig())
     assert err.value.unit == 2
     assert err.value.regressor == 0
+
+
+def test_regressor_spanning_the_float_range_validates_without_warning():
+    ds = well_formed(seed=3)
+    x = np.array(ds.x)
+    x[0, ::2, 1], x[0, 1::2, 1] = -1e308, 1e308  # max - min overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate_dataset(PanelDataset(y=ds.y, x=x))
+        x[3, :, 1] = 1e308
+        x[5, :, 0] = -2.5
+        with pytest.raises(TimeInvariantRegressorError) as err:
+            validate_dataset(PanelDataset(y=ds.y, x=x))
+    assert (err.value.unit, err.value.regressor) == (3, 1)
 
 
 def test_dmax_bound():
