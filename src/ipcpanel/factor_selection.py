@@ -113,15 +113,18 @@ def extract_group(
     beta0: np.ndarray,
     prior: list[FactorGroup],
     config: IpcConfig,
+    residual: np.ndarray,
+    spectrum: tuple[np.ndarray, np.ndarray],
 ) -> FactorGroup:
     """Estimate the next factor group given all previously extracted ones.
 
-    Eigensolves the covariance of the deflated residuals u'u/N, selects
-    the dimension by :func:`eigen_ratio_select`, and scales the chosen
-    eigenvectors by T^{delta/2}. Long panels (T > 2N, see
-    ``numerics.SVD_ASPECT_RATIO``) take the eigenpairs from the thin SVD of
-    the N x T residual, so no T x T matrix is formed. A zero dimension
-    comes back as an empty group.
+    ``spectrum`` is the T descending eigenvalues of r'r/N, r = ``residual``
+    = y - X beta0, and eigenvectors for at least its positive values.
+    Deflating a group projects its factors out of r, so each group reads
+    the next eigenpairs, from ``offset`` = the prior groups' total dim:
+    :func:`eigen_ratio_select` picks d from d_max + 1 values there, the
+    factors are T^{delta/2} times the eigenvectors and the loadings
+    T^{-delta} r F. A zero dimension comes back as an empty group.
 
     The threshold is :func:`threshold_tau` of this group's mock eigenvalue;
     under the global rule, groups after the first read the first group's
@@ -136,31 +139,19 @@ def extract_group(
     global_anchor = prior and config.threshold_rule == THRESHOLD_GLOBAL
     tau = threshold_tau(prior[0].mock_eigenvalue if global_anchor else mock, n)
 
-    r = dataset.y - dataset.x @ np.asarray(beta0, dtype=float)
-    u = r
-    for g in prior:
-        if g.dim:
-            u = u - g.loadings @ g.factors.T
-    # the extracted groups explain the panel to rounding error: nothing
-    # is left to estimate, so the group comes back empty
-    baseline = float(np.sum(r * r)) / n
-    k = config.d_max + 1
-    if float(np.sum(u * u)) / n <= 1e-12 * baseline:
-        values = np.zeros(k)
-        vectors = np.zeros((t, k))
-        decision = eigen_ratio_select(values, 0.0, tau)
-    else:
-        values, vectors = (
-            top_sym_eigh((u.T @ u) / n, k) if t <= SVD_ASPECT_RATIO * n else top_svd_pairs(u, k)
-        )
-        decision = eigen_ratio_select(values, mock, tau)
-    d = decision.chosen_d
-    factors = t ** (config.delta / 2.0) * vectors[:, :d]
-    loadings = t ** (-config.delta) * (u @ factors)
+    values, vectors = spectrum
+    offset = sum(g.dim for g in prior)
+    # rounding below zero scales with the whole spectrum, not this window
+    window = np.maximum(values[offset : offset + config.d_max + 1], 0.0)
+    # trailing values at rounding level (a sum: no cancellation): nothing left
+    explained = np.sum(values[offset:]) <= 1e-12 * np.sum(values)
+    d = 0 if explained else eigen_ratio_select(window, mock, tau).chosen_d
+    factors = t ** (config.delta / 2.0) * vectors[:, offset : offset + d]
+    loadings = t ** (-config.delta) * (residual @ factors)
     return FactorGroup(
         group_index=len(prior) + 1,
         dim=d,
-        eigenvalues=np.maximum(values[: config.d_max], 0.0),
+        eigenvalues=window[: config.d_max],
         mock_eigenvalue=mock,
         factors=factors,
         loadings=loadings,
@@ -172,6 +163,10 @@ def iterate_groups(
 ) -> list[FactorGroup]:
     """Extract groups until one comes back empty; that sentinel is dropped.
 
+    The eigenpairs of r'r/N, r = y - X beta0, are taken once and walked
+    d_max + 1 values at a time; for T > 2N (``numerics.SVD_ASPECT_RATIO``)
+    from the thin SVD of r, values zero-padded to length T.
+
     A hard stop guards against pathological data: extraction also ends,
     with an error, once the group count exceeds d_max or the accumulated
     dimensions leave no room for another d_max + 1 eigenvalues.
@@ -182,10 +177,15 @@ def iterate_groups(
         When the hard stop fires before an empty group; the groups found
         so far ride on the exception.
     """
-    t = dataset.n_periods
+    n, t = dataset.n_units, dataset.n_periods
+    r = dataset.y - dataset.x @ np.asarray(beta0, dtype=float)
+    values, vectors = (
+        top_sym_eigh((r.T @ r) / n, t) if t <= SVD_ASPECT_RATIO * n else top_svd_pairs(r, n)
+    )
+    spectrum = (np.pad(values, (0, t - values.size)), vectors)
     groups: list[FactorGroup] = []
     while True:
-        group = extract_group(dataset, beta0, groups, config)
+        group = extract_group(dataset, beta0, groups, config, r, spectrum)
         if group.dim == 0:
             return groups
         groups.append(group)

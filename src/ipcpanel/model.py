@@ -134,9 +134,9 @@ class FactorGroup:
     """One extracted factor group.
 
     ``factors`` is T x dim with T^{-delta} F'F = I; ``loadings`` is N x dim.
-    ``eigenvalues`` holds the d_max leading eigenvalues of the group's
-    residual covariance, ``mock_eigenvalue`` the average projected
-    residual sum of squares anchoring the selection rule.
+    ``eigenvalues`` holds d_max eigenvalues of r'r/N, r = y - X beta0,
+    from the prior groups' total dim on; ``mock_eigenvalue`` the average
+    projected residual sum of squares anchoring the selection rule.
     """
 
     group_index: int

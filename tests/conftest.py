@@ -16,7 +16,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from ipcpanel.model import PanelDataset  # noqa: E402
+from ipcpanel.errors import GroupBudgetExceededError  # noqa: E402
+from ipcpanel.factor_selection import (  # noqa: E402
+    eigen_ratio_select,
+    mock_eigenvalue,
+    threshold_tau,
+)
+from ipcpanel.init_estimator import f_given_beta  # noqa: E402
+from ipcpanel.model import THRESHOLD_GLOBAL, FactorGroup, PanelDataset  # noqa: E402
 
 
 def dense_annihilator(f: np.ndarray) -> np.ndarray:
@@ -55,6 +62,49 @@ def dense_top_eigenpairs(u: np.ndarray, k: int):
     values, vectors = np.linalg.eigh(u.T @ u / u.shape[0])
     values, vectors = values[::-1][:k], vectors[:, ::-1][:, :k]
     return values, vectors * np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)])
+
+
+def deflation_groups(dataset, beta0, config):
+    """Step 2 by per-group deflation (oracle path).
+
+    Each group subtracts the prior groups' common components from the
+    residual, eigensolves the deflated covariance u'u/N in full, and selects
+    its dimension by the eigenvalue-ratio rule; the first empty group ends
+    the walk. The budget check is the library's; the "exactly explained"
+    check compares the deflated residual's energy with the residual's.
+    """
+    n, t = dataset.n_units, dataset.n_periods
+    r = dataset.y - dataset.x @ beta0
+    k = config.d_max + 1
+    groups = []
+    while True:
+        if groups:
+            stacked = np.hstack([g.factors for g in groups])
+        else:
+            stacked = f_given_beta(dataset, beta0, config.d_max, config.delta)
+        mock = mock_eigenvalue(dataset, beta0, stacked)
+        global_anchor = groups and config.threshold_rule == THRESHOLD_GLOBAL
+        tau = threshold_tau(groups[0].mock_eigenvalue if global_anchor else mock, n)
+        u = r - sum(g.loadings @ g.factors.T for g in groups)
+        values, vectors = dense_top_eigenpairs(u, k)
+        if np.sum(u * u) <= 1e-12 * np.sum(r * r):
+            d = 0
+        else:
+            d = eigen_ratio_select(values, mock, tau).chosen_d
+        if d == 0:
+            return groups
+        factors = t ** (config.delta / 2.0) * vectors[:, :d]
+        groups.append(FactorGroup(
+            group_index=len(groups) + 1,
+            dim=d,
+            eigenvalues=np.maximum(values[: config.d_max], 0.0),
+            mock_eigenvalue=mock,
+            factors=factors,
+            loadings=t ** (-config.delta) * (u @ factors),
+        ))
+        total = sum(g.dim for g in groups)
+        if len(groups) > config.d_max or total + config.d_max >= t:
+            raise GroupBudgetExceededError(groups, "oracle budget exceeded")
 
 
 def random_panel(seed, n=6, t=7, d_x=2, n_factors=1, noise=0.5):

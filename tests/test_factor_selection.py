@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,12 +19,13 @@ from ipcpanel.factor_selection import (
     mock_eigenvalue,
     threshold_tau,
 )
-from ipcpanel.final_estimator import fit_ipc
+from ipcpanel.final_estimator import fit_final, fit_ipc
 from ipcpanel.init_estimator import fit_initial
 from ipcpanel.model import IpcConfig, PanelDataset
+from ipcpanel.numerics import top_sym_eigh
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
-from conftest import dense_annihilator, dense_projector, dense_top_eigenpairs, random_panel
+from conftest import dense_annihilator, dense_projector, deflation_groups, random_panel
 
 
 # --- eigen_ratio_select -------------------------------------------------------
@@ -154,7 +156,7 @@ def test_noiseless_single_trend_factor():
     beta = np.array([1.0, 1.0])
     ds = PanelDataset(y=x @ beta + loadings @ trend.T, x=x)
     config = IpcConfig(d_max=5)
-    group = extract_group(ds, beta, [], config)
+    [group] = iterate_groups(ds, beta, config)
     assert group.dim == 1
     assert np.allclose(
         dense_projector(group.factors), dense_projector(trend), atol=1e-6
@@ -174,15 +176,16 @@ def test_pure_noise_rarely_yields_a_group():
         rng = np.random.default_rng(10_000 + seed)
         x = rng.normal(size=(30, 30, 1))
         y = x @ beta + 0.05 * rng.standard_normal((30, 30))
-        group = extract_group(PanelDataset(y=y, x=x), beta, [], config)
-        empty += group.dim == 0
+        empty += not iterate_groups(PanelDataset(y=y, x=x), beta, config)
     assert empty / 200 >= 0.95
 
 
 def test_group_normalization_any_delta():
     ds, beta, *_ = random_panel(5, n=12, t=14, n_factors=2, noise=1.0)
+    r = ds.y - ds.x @ beta
+    spectrum = top_sym_eigh((r.T @ r) / ds.n_units, ds.n_periods)
     for delta in (0.0, 1.5):
-        group = extract_group(ds, beta, [], IpcConfig(d_max=4, delta=delta))
+        group = extract_group(ds, beta, [], IpcConfig(d_max=4, delta=delta), r, spectrum)
         if group.dim:
             gram = ds.n_periods ** (-delta) * group.factors.T @ group.factors
             assert np.allclose(gram, np.eye(group.dim), atol=1e-8)
@@ -190,23 +193,55 @@ def test_group_normalization_any_delta():
         assert np.all(np.diff(group.eigenvalues) <= 1e-9 * group.eigenvalues[0])
 
 
-def test_long_panel_groups_match_primal_oracle():
-    # T > 2N takes the SVD route; the oracle eigensolves the T x T covariance
-    # of the residual, then of the residual deflated by the first group
-    ds, beta, *_ = random_panel(9, n=12, t=300, n_factors=2, noise=0.2)
-    config = IpcConfig(d_max=4)
-    prior = []
-    for _ in range(2):
-        group = extract_group(ds, beta, prior, config)
-        u = ds.y - ds.x @ beta - sum(g.loadings @ g.factors.T for g in prior)
-        values, vectors = dense_top_eigenpairs(u, config.d_max + 1)
-        tau = threshold_tau(group.mock_eigenvalue, ds.n_units)
-        d = eigen_ratio_select(values, group.mock_eigenvalue, tau).chosen_d
-        assert group.dim == d
-        assert np.allclose(group.eigenvalues, values[: config.d_max], rtol=1e-10, atol=0.0)
-        assert np.allclose(group.factors, np.sqrt(ds.n_periods) * vectors[:, :d], atol=1e-8)
-        prior.append(group)
-    assert [g.dim for g in prior] == [2, 0]
+def dgp1_panel(n, t, seed=100):
+    return generate_dgp1(Dgp1Spec(n, t, seed=seed))[0]
+
+
+ORACLE_PANELS = {
+    **{f"dgp1-160x160-{s}": (lambda s=s: dgp1_panel(160, 160, s), 10) for s in range(100, 105)},
+    "dgp1-2000x40": (lambda: dgp1_panel(2000, 40), 10),
+    "dgp1-40x1000": (lambda: dgp1_panel(40, 1000), 10),
+    "long-12x300": (lambda: random_panel(9, n=12, t=300, n_factors=2, noise=0.2)[0], 4),
+    "noiseless-12x60": (lambda: random_panel(10, n=12, t=60, n_factors=1, noise=0.0)[0], 3),
+}
+
+
+@functools.cache
+def oracle_panel(name):
+    make, d_max = ORACLE_PANELS[name]
+    ds = make()
+    return ds, fit_initial(ds, IpcConfig(d_max=d_max)), d_max
+
+
+def relative_gap(a, b):
+    return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("rule", ["global", "pergroup"])
+@pytest.mark.parametrize("name", list(ORACLE_PANELS))
+def test_groups_match_deflation_oracle(name, rule):
+    # one walk down the spectrum of r'r/N against per-group deflation and a
+    # full eigensolve of each deflated covariance; 40x1000, 12x300 and the
+    # noiseless 12x60 take the SVD route
+    ds, init, d_max = oracle_panel(name)
+    config = IpcConfig(d_max=d_max, threshold_rule=rule)
+    groups = iterate_groups(ds, init.beta0, config)
+    oracle = deflation_groups(ds, init.beta0, config)
+    assert [g.dim for g in groups] == [g.dim for g in oracle]
+    assert groups, "every panel here has a factor"
+    for got, want in zip(groups, oracle):
+        assert relative_gap(got.eigenvalues, want.eigenvalues) <= 1e-8
+        assert relative_gap(got.mock_eigenvalue, want.mock_eigenvalue) <= 1e-9
+        gap = dense_projector(got.factors) - dense_projector(want.factors)
+        assert np.abs(gap).max() <= 1e-10
+        common = got.loadings @ got.factors.T
+        assert relative_gap(common, want.loadings @ want.factors.T) <= 1e-10
+    fit, oracle_fit = fit_final(ds, init, groups, config), fit_final(ds, init, oracle, config)
+    assert relative_gap(fit.beta, oracle_fit.beta) <= 1e-10
+    # noiseless, the unit variances r'M_F r / T are rounding-level remainders of
+    # O(|r|^2) sums, so there the covariance is only good to about 1e-7
+    cov_rtol = 1e-6 if name.startswith("noiseless") else 1e-9
+    assert relative_gap(fit.covariance, oracle_fit.covariance) <= cov_rtol
 
 
 def test_exactly_explained_long_panel_fits():
@@ -331,3 +366,55 @@ def test_one_initial_factor_estimate_per_extraction(monkeypatch, dgp1_long, rule
     calls = record_calls(monkeypatch, "f_given_beta")
     iterate_groups(ds, beta0, IpcConfig(threshold_rule=rule))
     assert len(calls) == 1
+
+
+def test_one_spectrum_per_walk(monkeypatch, dgp1_long):
+    ds, beta0 = dgp1_long
+    eigh_calls = record_calls(monkeypatch, "top_sym_eigh")
+    svd_calls = record_calls(monkeypatch, "top_svd_pairs")
+    groups = iterate_groups(ds, beta0, IpcConfig())
+    assert len(groups) == 3
+    assert len(eigh_calls) + len(svd_calls) == 1
+
+
+def test_exactly_explained_walk_matches_oracle(monkeypatch):
+    # at the true slope the noiseless residual has rank one, so the values
+    # after the first group are rounding error: the walk stops on the
+    # trailing sum without consulting the ratio rule a second time
+    ds, beta, *_ = random_panel(10, n=12, t=60, n_factors=1, noise=0.0)
+    config = IpcConfig(d_max=3)
+    oracle = deflation_groups(ds, beta, config)
+    calls = record_calls(monkeypatch, "eigen_ratio_select")
+    groups = iterate_groups(ds, beta, config)
+    assert len(calls) == 1
+    assert [g.dim for g in groups] == [g.dim for g in oracle] == [1]
+    gap = dense_projector(groups[0].factors) - dense_projector(oracle[0].factors)
+    assert np.abs(gap).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n, t, dims", [(30, 30, [2]), (40, 12, [1])], ids=["30x30", "40x12"])
+def test_largest_d_max_exhausts_the_budget(n, t, dims):
+    # d_max = min(N, T) - 1 leaves no room for a second window of the spectrum
+    ds, _ = generate_dgp1(Dgp1Spec(n, t, seed=5))
+    with pytest.raises(GroupBudgetExceededError) as err:
+        fit_ipc(ds, IpcConfig(d_max=min(n, t) - 1))
+    assert [g.dim for g in err.value.groups] == dims
+
+
+def test_walk_past_the_svd_rank_fits():
+    # N << T: the thin SVD gives N values and the rest of the T are zero
+    # padding; the second group's window reads the padded value at index N
+    ds, _ = generate_dgp1(Dgp1Spec(8, 60, seed=5))
+    fit = fit_ipc(ds, IpcConfig(d_max=7))
+    assert [g.dim for g in fit.groups] == [1, 1]
+    assert np.all(np.isfinite(fit.beta))
+    assert np.all(np.isfinite(fit.covariance))
+
+
+def test_equal_magnitude_factors_form_one_group():
+    # two i.i.d. standard normal factors with i.i.d. standard normal loadings
+    ds, _, factors, _ = random_panel(0, n=40, t=60, n_factors=2, noise=0.3)
+    fit = fit_ipc(ds, IpcConfig())
+    assert [g.dim for g in fit.groups] == [2]
+    gap = dense_projector(fit.groups[0].factors) - dense_projector(factors)
+    assert np.linalg.norm(gap) < 0.15

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipcpanel.errors import RankDeficientError, SingularLoadingsError
 from ipcpanel.factor_selection import iterate_groups
@@ -158,6 +160,49 @@ def test_end_to_end_delta_invariance():
     for delta in (1.0, 2.0):
         assert np.allclose(fits[0.0].beta, fits[delta].beta, atol=1e-8)
         assert np.allclose(fits[0.0].beta0, fits[delta].beta0, atol=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.sampled_from(["units", "periods"]))
+def test_permutation_invariance(seed, perm_seed, axis):
+    # units and periods are exchangeable in every step: a reordered panel
+    # selects the same dimensions and the same slope up to rounding
+    ds, _ = generate_dgp1(Dgp1Spec(24, 26, seed=seed))
+    rng = np.random.default_rng(perm_seed)
+    if axis == "units":
+        order = rng.permutation(ds.n_units)
+        permuted = PanelDataset(y=ds.y[order], x=ds.x[order])
+    else:
+        order = rng.permutation(ds.n_periods)
+        permuted = PanelDataset(y=ds.y[:, order], x=ds.x[:, order])
+    config = IpcConfig(d_max=6)
+    fit, fit_p = fit_ipc(ds, config), fit_ipc(permuted, config)
+    assert [g.dim for g in fit_p.groups] == [g.dim for g in fit.groups]
+    assert np.abs(fit_p.beta - fit.beta).max() <= 1e-10 * np.abs(fit.beta).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.floats(1e-2, 1e2))
+def test_y_scale_equivariance(seed, c):
+    # beta0 scales with y; tau = 1/ln(max(mock, N)) does not once the mock
+    # exceeds N, so the selected dimensions may change, and beta scales
+    # whenever they do not
+    ds, _ = generate_dgp1(Dgp1Spec(24, 26, seed=seed))
+    scaled = PanelDataset(y=c * ds.y, x=ds.x)
+    config = IpcConfig(d_max=6)
+    fit, fit_c = fit_ipc(ds, config), fit_ipc(scaled, config)
+    assert np.abs(fit_c.beta0 - c * fit.beta0).max() <= 1e-9 * c * np.abs(fit.beta0).max()
+    if [g.dim for g in fit_c.groups] == [g.dim for g in fit.groups]:
+        assert np.abs(fit_c.beta - c * fit.beta).max() <= 1e-9 * c * np.abs(fit.beta).max()
+
+
+def test_y_scale_can_change_the_selected_dimensions():
+    ds, _ = generate_dgp1(Dgp1Spec(30, 30, seed=5))
+    dims = {}
+    for c in (0.01, 1.0, 3.0, 100.0):
+        fit = fit_ipc(PanelDataset(y=c * ds.y, x=ds.x), IpcConfig())
+        dims[c] = [g.dim for g in fit.groups]
+    assert dims == {0.01: [1], 1.0: [1], 3.0: [1, 2], 100.0: [1, 2]}
 
 
 def test_no_factor_path_collapses_to_pooled_ols():
