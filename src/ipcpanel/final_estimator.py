@@ -22,7 +22,7 @@ from .init_estimator import (
     fit_initial,
 )
 from .model import FactorGroup, IpcConfig, IpcFit, PanelDataset, validate
-from .numerics import annihilator_apply, check_gram_rank, solve_spd
+from .numerics import RANK_RTOL, annihilator_apply, check_gram_rank, solve_spd
 
 
 def loading_weights(loadings_combined: np.ndarray) -> np.ndarray:
@@ -68,10 +68,14 @@ def z_matrices(dataset: PanelDataset, f_hat: np.ndarray, loadings: np.ndarray) -
 
 
 def residual_variances(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-unit variances max(T^{-1} (y_i - X_i beta)' M_F (y_i - X_i beta), 0)."""
+    """Per-unit variances T^{-1} |M_F (y_i - X_i beta)|^2.
+
+    The squared norm equals r_i' M_F r_i but does not cancel when M_F r_i
+    is small next to r_i, and it is never negative.
+    """
     r = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
     mr = annihilate_outcomes(r, np.asarray(f, dtype=float))
-    return np.maximum(np.sum(mr * r, axis=1) / dataset.n_periods, 0.0)
+    return np.sum(mr * mr, axis=1) / dataset.n_periods
 
 
 def sandwich_covariance(z: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -121,7 +125,8 @@ def fit_final(
     Raises
     ------
     SingularZGramError
-        If the Z Gram matrix is numerically singular.
+        If the Z Gram matrix is numerically singular, by its own eigenvalue
+        ratio or against the scale of the raw regressor Gram.
     """
     n, t = dataset.n_units, dataset.n_periods
     f_hat, gamma_hat = combine_groups(groups, n, t)
@@ -130,6 +135,12 @@ def fit_final(
 
     mx = annihilate_regressors(dataset.x, f_hat)
     z_gram = np.einsum("ntd,nte->de", z, z)
+    # factors and loadings that use up the regressors leave a Z of rounding
+    # error whose own Gram can still be well conditioned, so Z is also
+    # judged against the scale of the raw regressor Gram sum_i X_i'X_i
+    x_flat = dataset.x.reshape(-1, dataset.n_regressors)
+    if np.linalg.eigvalsh(z_gram)[0] <= RANK_RTOL * np.linalg.eigvalsh(x_flat.T @ x_flat)[-1]:
+        raise SingularZGramError("Z Gram matrix is numerically singular next to the regressors")
     x_gram = np.einsum("ntd,nte->de", mx, mx)
     beta = init.beta0 + solve_spd(z_gram, x_gram @ (beta1 - init.beta0), SingularZGramError)
     sigma2 = residual_variances(dataset, beta, f_hat)

@@ -49,6 +49,21 @@ class Dgp1Spec:
     seed: int = 0
 
 
+def _correlate_units(z: np.ndarray) -> np.ndarray:
+    """Correlate independent standard normals across units, in place.
+
+    Units run along the last axis of ``z``. Multiplying by the lower
+    Cholesky factor of the correlation c^|i - j| (c the cross-unit base) is
+    the stationary AR(1) recursion w_0 = z_0, w_i = c w_{i-1} + sqrt(1 - c^2) z_i,
+    so the draw costs O(z.size) time and no N x N array is formed.
+    """
+    base = _DGP1_CROSS_CORR_BASE
+    scale = np.sqrt(1.0 - base**2)
+    for i in range(1, z.shape[-1]):
+        z[..., i] = base * z[..., i - 1] + scale * z[..., i]
+    return z
+
+
 def generate_dgp1(spec: Dgp1Spec) -> tuple[PanelDataset, TruthSpec]:
     """Draw one panel. Deterministic given ``spec.seed``.
 
@@ -77,16 +92,18 @@ def generate_dgp1(spec: Dgp1Spec) -> tuple[PanelDataset, TruthSpec]:
     # cross-sectionally correlated AR(1) regressor disturbances,
     # initialized at their stationary distribution
     rho = _DGP1_AR_COEFFICIENT
-    cross_cov = _DGP1_CROSS_CORR_BASE ** np.abs(
-        np.subtract.outer(np.arange(n), np.arange(n))
-    )
-    chol = np.linalg.cholesky(cross_cov)
     level = (np.abs(gamma).sum(axis=1)[:, None] + (np.abs(steps) + np.abs(cycle))[None, :]) / d_x
+
+    draws = []
+    for _ in range(d_x):
+        draws += [rng.standard_normal(n), rng.standard_normal((t, n))]
+    # row 0 of each regressor's block is its start, rows 1..T its innovations
+    shocks = _correlate_units(np.vstack(draws)).reshape(d_x, t + 1, n)
 
     x = np.empty((n, t, d_x))
     for j in range(d_x):
-        v = np.sqrt(1.0 / (1.0 - rho**2)) * (chol @ rng.standard_normal(n))
-        innovations = rng.standard_normal((t, n)) @ chol.T
+        v = np.sqrt(1.0 / (1.0 - rho**2)) * shocks[j, 0]
+        innovations = shocks[j, 1:]
         path = np.empty((t, n))
         for s in range(t):
             v = rho * v + innovations[s]

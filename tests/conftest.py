@@ -56,6 +56,14 @@ def dense_sandwich(dataset, beta, f, gamma):
     return gram_inv @ middle @ gram_inv
 
 
+def dense_cross_unit_correlate(z: np.ndarray) -> np.ndarray:
+    """DGP1's cross-unit correlation of the draws ``z`` (units on the last axis)
+    as the product with the dense Cholesky factor of 0.5^|i-j| (oracle path)."""
+    n = z.shape[-1]
+    chol = np.linalg.cholesky(0.5 ** np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
+    return z @ chol.T
+
+
 def dense_top_eigenpairs(u: np.ndarray, k: int):
     """Top k eigenpairs of the T x T matrix u'u/N by a full eigh (oracle path),
     descending, each vector's largest-magnitude entry made positive."""

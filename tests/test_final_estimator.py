@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipcpanel.errors import RankDeficientError, SingularLoadingsError
+from ipcpanel.errors import RankDeficientError, SingularLoadingsError, SingularZGramError
 from ipcpanel.factor_selection import iterate_groups
 from ipcpanel.final_estimator import (
     fit_final,
@@ -231,6 +231,24 @@ def test_fit_metadata_and_sigma2():
     assert fit.residuals.shape == ds.y.shape
     assert fit.config == config
     assert fit.factors_initial.shape == (30, config.d_max)
+
+
+def test_z_of_rounding_error_is_rejected():
+    # six factors on six units use up the loading span: Z is rounding error
+    # (Gram eigenvalues ~1e-29 against |x| up to 7) but well conditioned on
+    # its own, and the slope it gave was about 1e16
+    ds, _ = generate_dgp1(Dgp1Spec(6, 60, seed=5))
+    with pytest.raises(SingularZGramError):
+        fit_ipc(ds, IpcConfig(d_max=5))
+
+
+def test_wide_panel_recovers_the_slope():
+    # N >> T known truth: the slope is found to well within 0.02 of (1, 1)
+    ds, truth = generate_dgp1(Dgp1Spec(5000, 40, seed=100))
+    fit = fit_ipc(ds, IpcConfig())
+    assert np.all(np.isfinite(fit.beta))
+    assert np.abs(fit.beta - truth.beta_true).max() < 0.02
+    assert np.linalg.eigvalsh(fit.covariance)[0] > 0.0
 
 
 def test_covariance_matches_dense_sandwich_oracle():

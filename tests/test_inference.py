@@ -304,6 +304,16 @@ def test_sub_panel_failure_is_tagged():
     assert err.value.sub_panel == "units_first_half"
 
 
+def test_period_half_failure_is_tagged():
+    # d_max valid on the full panel and the unit halves, but the 10-period
+    # halves need d_max < T/2
+    ds, _ = generate_dgp1(Dgp1Spec(40, 20, seed=3))
+    config = IpcConfig(d_max=10)
+    with pytest.raises(SubPanelError) as err:
+        jackknife_bias_correct(ds, fit_ipc(ds, config))
+    assert err.value.sub_panel == "periods_odd"
+
+
 # --- strength gap ---------------------------------------------------------------------
 
 def test_equal_norms_give_zero():

@@ -3,6 +3,7 @@ import pytest
 
 from ipcpanel import init_estimator
 from ipcpanel.errors import SingularDesignError
+from ipcpanel.final_estimator import fit_ipc
 from ipcpanel.init_estimator import (
     beta_given_f,
     f_given_beta,
@@ -63,6 +64,15 @@ def test_collinear_design_rejected():
     ds = PanelDataset(y=rng.normal(size=(4, 6)), x=x)
     with pytest.raises(SingularDesignError):
         beta_given_f(ds, np.zeros((6, 0)))
+
+
+def test_nearly_collinear_design_rejected_by_the_pipeline():
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(20, 15, 1))
+    x = np.concatenate([base, 2.0 * base + 1e-9 * rng.normal(size=base.shape)], axis=2)
+    ds = PanelDataset(y=rng.normal(size=(20, 15)), x=x)
+    with pytest.raises(SingularDesignError):
+        fit_ipc(ds, IpcConfig(d_max=3))
 
 
 def test_rank_one_residual_recovers_factor_projector():

@@ -598,6 +598,19 @@ def test_exit_codes(tmp_path):
         assert not (tmp_path / name).exists(), name
 
 
+def test_z_of_rounding_error_is_a_numerical_failure(tmp_path, capsys):
+    ds, _ = generate_dgp1(Dgp1Spec(6, 60, seed=5))
+    path = tmp_path / "panel.csv"
+    dataset_to_csv(path, ds)
+    code = cli_main([
+        "estimate", "--data", str(path), "--x-cols", "x1,x2",
+        "--dmax", "5", "--out", str(tmp_path / "fit"),
+    ])
+    assert code == 3
+    assert "Z Gram matrix is numerically singular" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ipcpanel.simulation import (
     run_monte_carlo,
 )
 
-from conftest import dense_projector
+from conftest import dense_cross_unit_correlate, dense_projector
 
 
 # --- generator -------------------------------------------------------------------
@@ -53,6 +55,28 @@ def test_walk_step_variance_long_run():
     walk = truth.factors_true[:, 1]
     steps = np.diff(walk, prepend=0.0)
     assert np.var(steps) == pytest.approx(0.25, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1,), (2,), (160, 160), (40, 2000)], ids=["1", "2", "160x160", "40x2000"]
+)
+def test_cross_unit_recursion_matches_dense_cholesky(shape):
+    z = np.random.default_rng(8).standard_normal(shape)
+    want = dense_cross_unit_correlate(z)
+    got = simulation._correlate_units(z.copy())
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_draw_memory_stays_linear_in_units():
+    """No N x N intermediate: the traced peak is a few panels, where the
+    dense 4000 x 4000 correlation and its Cholesky factor took ~250 MiB."""
+    tracemalloc.start()
+    try:
+        ds, _ = generate_dgp1(Dgp1Spec(4000, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (ds.y.nbytes + ds.x.nbytes), peak
 
 
 def test_regressor_outcome_consistency():
