@@ -15,7 +15,7 @@ from .errors import (
     GroupBudgetExceededError,
     InvalidEigenvaluesError,
 )
-from .init_estimator import f_given_beta, ssr_value
+from .init_estimator import f_given_beta, unit_ssr
 from .model import THRESHOLD_GLOBAL, FactorGroup, IpcConfig, PanelDataset
 from .numerics import SVD_ASPECT_RATIO, top_svd_pairs, top_sym_eigh
 
@@ -105,7 +105,7 @@ def mock_eigenvalue(
     ``prior_factors`` is T x k (possibly empty); for the first group the
     caller passes the full initial factor estimate.
     """
-    return max(ssr_value(dataset, beta0, prior_factors) / dataset.n_units, 0.0)
+    return float(unit_ssr(dataset, beta0, prior_factors).sum()) / dataset.n_units
 
 
 def extract_group(

@@ -10,19 +10,14 @@ import numpy as np
 from .errors import (
     RankDeficientError,
     SingularCovarianceError,
+    SingularDesignError,
     SingularLoadingsError,
     SingularZGramError,
 )
 from .factor_selection import iterate_groups
-from .init_estimator import (
-    InitResult,
-    annihilate_outcomes,
-    annihilate_regressors,
-    beta_given_f,
-    fit_initial,
-)
+from .init_estimator import InitResult, annihilate, fit_initial, unit_ssr
 from .model import FactorGroup, IpcConfig, IpcFit, PanelDataset, validate
-from .numerics import RANK_RTOL, annihilator_apply, check_gram_rank, solve_spd
+from .numerics import RANK_RTOL, annihilator_apply, check_gram_rank, solve_spd, stacked_gram
 
 
 def loading_weights(loadings_combined: np.ndarray) -> np.ndarray:
@@ -47,6 +42,15 @@ def loading_weights(loadings_combined: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _across_units(mx: np.ndarray, loadings: np.ndarray) -> np.ndarray:
+    """M_Gamma applied across units to the stacked N x T x d_x ``mx``."""
+    try:
+        z = annihilator_apply(loadings, mx.reshape(mx.shape[0], -1))
+    except RankDeficientError as exc:
+        raise SingularLoadingsError("loading Gram matrix is numerically singular") from exc
+    return z.reshape(mx.shape)
+
+
 def z_matrices(dataset: PanelDataset, f_hat: np.ndarray, loadings: np.ndarray) -> np.ndarray:
     """Z_i = M_F X_i - sum_j a_ij M_F X_j for every unit, as N x T x d_x.
 
@@ -59,37 +63,20 @@ def z_matrices(dataset: PanelDataset, f_hat: np.ndarray, loadings: np.ndarray) -
     SingularLoadingsError
         If the loading Gram matrix is numerically singular.
     """
-    mx = annihilate_regressors(dataset.x, np.asarray(f_hat, dtype=float))
-    try:
-        z = annihilator_apply(loadings, mx.reshape(mx.shape[0], -1))
-    except RankDeficientError as exc:
-        raise SingularLoadingsError("loading Gram matrix is numerically singular") from exc
-    return z.reshape(mx.shape)
+    return _across_units(annihilate(dataset.x, f_hat), loadings)
 
 
-def residual_variances(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-unit variances T^{-1} |M_F (y_i - X_i beta)|^2.
-
-    The squared norm equals r_i' M_F r_i but does not cancel when M_F r_i
-    is small next to r_i, and it is never negative.
-    """
-    r = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
-    mr = annihilate_outcomes(r, np.asarray(f, dtype=float))
-    return np.sum(mr * mr, axis=1) / dataset.n_periods
-
-
-def sandwich_covariance(z: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+def sandwich_covariance(z: np.ndarray, z_gram: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     """Self-normalizing sandwich (sum Z_i'Z_i)^{-1} (sum sigma2_i Z_i'Z_i) (sum Z_i'Z_i)^{-1}.
 
-    ``z`` is N x T x d_x and ``sigma2`` holds the N per-unit variances.
+    ``z`` is N x T x d_x, ``z_gram`` its Gram sum Z_i'Z_i, ``sigma2`` the N variances.
 
     Raises
     ------
     SingularCovarianceError
         If the Z Gram matrix is numerically singular.
     """
-    z_gram = np.einsum("ntd,nte->de", z, z)
-    middle = np.einsum("n,ntd,nte->de", sigma2, z, z)
+    middle = stacked_gram(z, sigma2[:, None, None] * z)
     half = solve_spd(z_gram, middle, SingularCovarianceError)
     cov = solve_spd(z_gram, half.T, SingularCovarianceError).T
     return 0.5 * (cov + cov.T)
@@ -116,44 +103,46 @@ def fit_final(
 ) -> IpcFit:
     """Assemble the corrected slope estimate and the full fit object.
 
-    beta = beta0 + (sum_i Z_i'Z_i)^{-1} sum_i X_i' M_F X_i (beta1 - beta0)
-    with beta1 the slope conditional on the combined factors. With no
-    factors selected the correction collapses and beta equals pooled OLS.
-    The fit's covariance is the sandwich of beta from the same Z and the
-    per-unit variances at beta.
+    From g = sum_i X_i' M_F (y_i - X_i beta0), the factor-conditional slope
+    is beta1 = beta0 + (sum_i X_i' M_F X_i)^{-1} g and the corrected one
+    beta = beta0 + (sum_i Z_i'Z_i)^{-1} g; with no factors both are pooled
+    OLS. The covariance is the sandwich of beta from the same Z and Gram.
 
     Raises
     ------
+    SingularDesignError
+        If the projected regressor Gram matrix is numerically singular.
     SingularZGramError
         If the Z Gram matrix is numerically singular, by its own eigenvalue
         ratio or against the scale of the raw regressor Gram.
     """
     n, t = dataset.n_units, dataset.n_periods
     f_hat, gamma_hat = combine_groups(groups, n, t)
-    beta1 = beta_given_f(dataset, f_hat)
-    z = z_matrices(dataset, f_hat, gamma_hat)
+    mx = annihilate(dataset.x, f_hat)
+    x_gram = stacked_gram(mx, mx)
+    check_gram_rank(x_gram, SingularDesignError, "projected regressors are numerically collinear")
+    g = stacked_gram(mx, (dataset.y - dataset.x @ init.beta0)[..., None])[:, 0]
+    beta1 = init.beta0 + np.linalg.solve(x_gram, g)
 
-    mx = annihilate_regressors(dataset.x, f_hat)
-    z_gram = np.einsum("ntd,nte->de", z, z)
+    z = _across_units(mx, gamma_hat)
+    z_gram = stacked_gram(z, z)
     # factors and loadings that use up the regressors leave a Z of rounding
     # error whose own Gram can still be well conditioned, so Z is also
     # judged against the scale of the raw regressor Gram sum_i X_i'X_i
-    x_flat = dataset.x.reshape(-1, dataset.n_regressors)
-    if np.linalg.eigvalsh(z_gram)[0] <= RANK_RTOL * np.linalg.eigvalsh(x_flat.T @ x_flat)[-1]:
+    x_scale = np.linalg.eigvalsh(stacked_gram(dataset.x, dataset.x))[-1]
+    if np.linalg.eigvalsh(z_gram)[0] <= RANK_RTOL * x_scale:
         raise SingularZGramError("Z Gram matrix is numerically singular next to the regressors")
-    x_gram = np.einsum("ntd,nte->de", mx, mx)
-    beta = init.beta0 + solve_spd(z_gram, x_gram @ (beta1 - init.beta0), SingularZGramError)
-    sigma2 = residual_variances(dataset, beta, f_hat)
+    beta = init.beta0 + solve_spd(z_gram, g, SingularZGramError)
+    sigma2 = unit_ssr(dataset, beta, f_hat) / t
 
     return IpcFit(
         beta0=init.beta0,
         beta1=beta1,
         beta=beta,
-        covariance=sandwich_covariance(z, sigma2),
+        covariance=sandwich_covariance(z, z_gram, sigma2),
         groups=tuple(groups),
         factors_combined=f_hat,
         loadings_combined=gamma_hat,
-        residuals=dataset.y - dataset.x @ beta - gamma_hat @ f_hat.T,
         sigma2_by_unit=sigma2,
         als_iterations=init.iterations,
         converged=init.converged,

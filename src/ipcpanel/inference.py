@@ -20,10 +20,10 @@ from .errors import (
     SubPanelError,
     ZeroLoadingsError,
 )
-from .final_estimator import fit_ipc, residual_variances, sandwich_covariance, z_matrices
-from .init_estimator import beta_given_f
-from .model import FactorGroup, IpcFit, PanelDataset
-from .numerics import RANK_RTOL, chi2_sf, solve_spd
+from .final_estimator import fit_ipc, sandwich_covariance, z_matrices
+from .init_estimator import beta_given_f, unit_ssr
+from .model import FactorGroup, IpcFit, PanelDataset, validate
+from .numerics import RANK_RTOL, chi2_sf, solve_spd, stacked_gram
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ class JackknifeResult:
 
 
 def unit_variances(dataset: PanelDataset, fit: IpcFit) -> np.ndarray:
-    """Per-unit residual variances T^{-1} (y_i - X_i beta)' M_F (y_i - X_i beta)."""
-    return residual_variances(dataset, fit.beta, fit.factors_combined)
+    """Per-unit residual variances T^{-1} |M_F (y_i - X_i beta)|^2 at the fit's slope."""
+    return unit_ssr(dataset, fit.beta, fit.factors_combined) / dataset.n_periods
 
 
 def _wald(beta: np.ndarray, cov: np.ndarray, spec: WaldSpec) -> InferenceResult:
@@ -161,7 +161,8 @@ def wald_variants(
     else:
         raise InvalidDomainError(f"unknown variant {variant!r}")
     z = z_matrices(dataset, f, gamma)
-    return _wald(beta, sandwich_covariance(z, residual_variances(dataset, beta, f)), spec)
+    sigma2 = unit_ssr(dataset, beta, f) / dataset.n_periods
+    return _wald(beta, sandwich_covariance(z, stacked_gram(z, z), sigma2), spec)
 
 
 def jackknife_bias_correct(dataset: PanelDataset, fit: IpcFit) -> JackknifeResult:
@@ -172,7 +173,8 @@ def jackknife_bias_correct(dataset: PanelDataset, fit: IpcFit) -> JackknifeResul
     sub-estimates rerun the entire pipeline (including group selection)
     on the first and second halves of the cross-section and on the odd-
     and even-numbered time periods (1-based). Differing group structures
-    across sub-panels are accepted and reported.
+    across sub-panels are accepted and reported. Every half is validated
+    before the first refit.
     """
     n, t = dataset.n_units, dataset.n_periods
     subsets = {
@@ -181,6 +183,11 @@ def jackknife_bias_correct(dataset: PanelDataset, fit: IpcFit) -> JackknifeResul
         "periods_odd": dataset.select_periods(range(0, t, 2)),
         "periods_even": dataset.select_periods(range(1, t, 2)),
     }
+    for name, subset in subsets.items():
+        try:
+            validate(subset, fit.config)
+        except IpcError as exc:
+            raise SubPanelError(name, exc) from exc
     estimates = []
     dims = {}
     converged = {}

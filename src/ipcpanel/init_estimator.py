@@ -18,6 +18,7 @@ from .numerics import (
     SVD_ASPECT_RATIO,
     annihilator_apply,
     check_gram_rank,
+    stacked_gram,
     top_svd_pairs,
     top_sym_eigh,
 )
@@ -46,40 +47,39 @@ class InitResult:
     converged: bool
 
 
-def annihilate_outcomes(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply M_F to every unit's outcome series; y is N x T."""
-    if f.shape[1] == 0:
-        return y.copy()
-    return annihilator_apply(f, y.T).T
+def annihilate(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Apply M_F along the time axis of an N x T or N x T x d_x array."""
+    n, t = a.shape[:2]
+    flat = np.moveaxis(a, 1, 0).reshape(t, -1)
+    return np.moveaxis(annihilator_apply(f, flat).reshape((t, n) + a.shape[2:]), 0, 1)
 
 
-def annihilate_regressors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply M_F to every unit's regressor block; x is N x T x d_x."""
-    if f.shape[1] == 0:
-        return x.copy()
-    n, t, dx = x.shape
-    flat = x.transpose(1, 0, 2).reshape(t, n * dx)
-    return annihilator_apply(f, flat).reshape(t, n, dx).transpose(1, 0, 2)
+def unit_ssr(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Each unit's |M_F (y_i - X_i beta)|^2, as N values.
+
+    A squared norm: unlike r_i' M_F r_i it does not cancel when M_F r_i is
+    small next to r_i, and it is never negative.
+    """
+    r = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
+    mr = annihilate(r, f)
+    return np.sum(mr * mr, axis=1)
 
 
 def beta_given_f(dataset: PanelDataset, f: np.ndarray) -> np.ndarray:
     """Concentrated least-squares slope for a fixed factor matrix.
 
-    Solves (sum_i X_i' M_F X_i) beta = sum_i X_i' M_F y_i; an empty ``f``
-    gives pooled OLS.
+    Solves (sum_i X_i' M_F X_i) beta = sum_i (M_F X_i)' y_i (M_F is
+    idempotent, so y is not projected); an empty ``f`` gives pooled OLS.
 
     Raises
     ------
     SingularDesignError
         If the projected regressor Gram matrix is numerically singular.
     """
-    f = np.asarray(f, dtype=float)
-    mx = annihilate_regressors(dataset.x, f)
-    my = annihilate_outcomes(dataset.y, f)
-    gram = np.einsum("ntd,nte->de", mx, mx)
-    rhs = np.einsum("ntd,nt->d", mx, my)
+    mx = annihilate(dataset.x, f)
+    gram = stacked_gram(mx, mx)
     check_gram_rank(gram, SingularDesignError, "projected regressors are numerically collinear")
-    return np.linalg.solve(gram, rhs)
+    return np.linalg.solve(gram, stacked_gram(mx, dataset.y[..., None])[:, 0])
 
 
 def f_given_beta(
@@ -100,13 +100,6 @@ def f_given_beta(
     return t ** (delta / 2.0) * vectors
 
 
-def ssr_value(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> float:
-    """Sum of squared residuals after projecting out ``f``."""
-    w = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
-    mw = annihilate_outcomes(w, np.asarray(f, dtype=float))
-    return float(np.sum(mw * w))
-
-
 def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
     """Alternate the two closed-form updates, starting from pooled OLS,
     until the objective or the slope settles (``ALS_TOL``,
@@ -117,13 +110,13 @@ def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
     """
     beta = beta_given_f(dataset, np.zeros((dataset.n_periods, 0)))
     f = f_given_beta(dataset, beta, config.d_max, config.delta)
-    path = [ssr_value(dataset, beta, f)]
+    path = [float(unit_ssr(dataset, beta, f).sum())]
     converged = False
     iterations = 0
     for iterations in range(1, ALS_MAX_ITER + 1):
         beta_new = beta_given_f(dataset, f)
         f = f_given_beta(dataset, beta_new, config.d_max, config.delta)
-        path.append(ssr_value(dataset, beta_new, f))
+        path.append(float(unit_ssr(dataset, beta_new, f).sum()))
         if path[-1] > path[-2] + MONOTONICITY_RTOL * path[0]:
             raise MonotonicityError(
                 f"objective rose from {path[-2]!r} to {path[-1]!r} at iteration {iterations}"

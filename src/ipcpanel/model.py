@@ -167,7 +167,6 @@ class IpcFit:
     groups: tuple[FactorGroup, ...]
     factors_combined: np.ndarray
     loadings_combined: np.ndarray
-    residuals: np.ndarray
     sigma2_by_unit: np.ndarray
     als_iterations: int
     converged: bool
@@ -176,7 +175,7 @@ class IpcFit:
 
     def __post_init__(self):
         for name in ("beta0", "beta1", "beta", "covariance", "factors_combined",
-                     "loadings_combined", "residuals", "sigma2_by_unit",
+                     "loadings_combined", "sigma2_by_unit",
                      "factors_initial"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "groups", tuple(self.groups))

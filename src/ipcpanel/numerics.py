@@ -1,6 +1,6 @@
 """Dense symmetric eigensolving, leading singular pairs of long residual
-panels, the eigenvalue-ratio rank check, annihilator projections, SPD
-solves, and the chi-squared survival function.
+panels, the eigenvalue-ratio rank check, annihilator projections, stacked
+Grams, SPD solves, and the chi-squared survival function.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.
@@ -142,6 +142,11 @@ def annihilator_apply(f: np.ndarray, v: np.ndarray) -> np.ndarray:
     gram = f.T @ f
     check_gram_rank(gram, RankDeficientError, "factor matrix is numerically rank deficient")
     return v - f @ np.linalg.solve(gram, f.T @ v)
+
+
+def stacked_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over units of A_i'B_i for N x T x d arrays, as one reshape and one GEMM."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray, error: type[Exception]) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipcpanel import final_estimator, init_estimator, numerics
 from ipcpanel.errors import RankDeficientError, SingularLoadingsError, SingularZGramError
 from ipcpanel.factor_selection import iterate_groups
 from ipcpanel.final_estimator import (
@@ -221,6 +222,25 @@ def test_no_factor_path_collapses_to_pooled_ols():
     assert fit.loadings_combined.shape == (n, 0)
 
 
+def test_fit_final_projects_once(monkeypatch):
+    # X off the factors in time, Z across units, and the residual for sigma2
+    ds, _ = generate_dgp1(Dgp1Spec(30, 30, seed=3))
+    config = IpcConfig(d_max=6)
+    init = fit_initial(ds, config)
+    groups = iterate_groups(ds, init.beta0, config)
+    calls = []
+
+    def counting(f, v):
+        calls.append(v.shape)
+        return numerics.annihilator_apply(f, v)
+
+    monkeypatch.setattr(init_estimator, "annihilator_apply", counting)
+    monkeypatch.setattr(final_estimator, "annihilator_apply", counting)
+    fit = fit_final(ds, init, groups, config)
+    assert fit.total_factors > 0
+    assert calls == [(30, 60), (30, 60), (30, 30)]
+
+
 def test_fit_metadata_and_sigma2():
     ds, _ = generate_dgp1(Dgp1Spec(30, 30, seed=7))
     config = IpcConfig(d_max=6)
@@ -228,7 +248,7 @@ def test_fit_metadata_and_sigma2():
     assert fit.total_factors == sum(g.dim for g in fit.groups)
     assert fit.n_groups == len(fit.groups)
     assert np.all(fit.sigma2_by_unit >= 0.0)
-    assert fit.residuals.shape == ds.y.shape
+    assert fit.sigma2_by_unit.shape == (30,)
     assert fit.config == config
     assert fit.factors_initial.shape == (30, config.d_max)
 

@@ -161,7 +161,7 @@ def test_wald_test_does_no_projection_work(fitted, monkeypatch):
         raise AssertionError("wald_test must not recompute Z or the variances")
 
     monkeypatch.setattr(inference, "z_matrices", forbidden)
-    monkeypatch.setattr(inference, "residual_variances", forbidden)
+    monkeypatch.setattr(inference, "unit_ssr", forbidden)
     got = wald_test(ds, fit, spec)
     assert got.wald_stat == want.wald_stat and got.p_value == want.p_value
     assert np.array_equal(got.covariance, fit.covariance)
@@ -302,6 +302,23 @@ def test_sub_panel_failure_is_tagged():
     with pytest.raises(SubPanelError) as err:
         jackknife_bias_correct(ds, fit_ipc(ds, config))
     assert err.value.sub_panel == "units_first_half"
+
+
+def test_jackknife_validates_every_half_before_refitting(monkeypatch):
+    # the period halves fail validation, so neither unit half is refitted
+    ds, _ = generate_dgp1(Dgp1Spec(40, 20, seed=3))
+    fit = fit_ipc(ds, IpcConfig(d_max=10))
+    fitted_panels = []
+
+    def counting_fit(dataset, config=None):
+        fitted_panels.append((dataset.n_units, dataset.n_periods))
+        return fit_ipc(dataset, config)
+
+    monkeypatch.setattr(inference, "fit_ipc", counting_fit)
+    with pytest.raises(SubPanelError) as err:
+        inference.jackknife_bias_correct(ds, fit)
+    assert err.value.sub_panel == "periods_odd"
+    assert fitted_panels == []
 
 
 def test_period_half_failure_is_tagged():

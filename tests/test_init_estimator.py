@@ -5,12 +5,14 @@ from ipcpanel import init_estimator
 from ipcpanel.errors import SingularDesignError
 from ipcpanel.final_estimator import fit_ipc
 from ipcpanel.init_estimator import (
+    annihilate,
     beta_given_f,
     f_given_beta,
     fit_initial,
-    ssr_value,
+    unit_ssr,
 )
 from ipcpanel.model import IpcConfig, PanelDataset
+from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
 from conftest import dense_annihilator, dense_projector, dense_top_eigenpairs, random_panel
 
@@ -157,11 +159,11 @@ def test_global_minimum_grid_check_toy_scale(monkeypatch):
     monkeypatch.setattr(init_estimator, "ALS_TOL", 1e-14)
     config = IpcConfig(d_max=1)
     res = fit_initial(ds, config)
-    best = ssr_value(ds, res.beta0, res.f0)
+    best = unit_ssr(ds, res.beta0, res.f0).sum()
     for offset in np.linspace(-1.0, 1.0, 201):
         beta = res.beta0 + offset
         f = f_given_beta(ds, beta, 1, config.delta)
-        assert best <= ssr_value(ds, beta, f) + 1e-9 * best
+        assert best <= unit_ssr(ds, beta, f).sum() + 1e-9 * best
 
 
 def test_iteration_cap_returns_non_converged_result(monkeypatch):
@@ -174,3 +176,27 @@ def test_iteration_cap_returns_non_converged_result(monkeypatch):
     assert not partial.converged
     assert len(partial.ssr_path) == 3
     assert partial.beta0.shape == (2,)
+
+
+# --- annihilate and unit_ssr ------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_annihilate_matches_dense_oracle(k):
+    rng = np.random.default_rng(20 + k)
+    n, t = 5, 9
+    f = rng.normal(size=(t, k))
+    m = dense_annihilator(f)
+    y = rng.normal(size=(n, t))
+    x = rng.normal(size=(n, t, 2))
+    assert np.allclose(annihilate(y, f), np.stack([m @ y[i] for i in range(n)]), atol=1e-12)
+    assert np.allclose(annihilate(x, f), np.stack([m @ x[i] for i in range(n)]), atol=1e-12)
+
+
+def test_als_objective_cannot_cancel():
+    # at the truth of a noiseless panel M_F r_i is rounding error next to r_i;
+    # the r' M_F r form read -8.7e-11 here, against a true value of 5e-25
+    ds, truth = generate_dgp1(Dgp1Spec(12, 60, seed=0))
+    y = ds.x @ truth.beta_true + truth.loadings_true @ truth.factors_true.T
+    clean = PanelDataset(y=y, x=ds.x)
+    ssr = unit_ssr(clean, truth.beta_true, truth.factors_true).sum()
+    assert 0.0 <= ssr < 1e-20

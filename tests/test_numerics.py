@@ -11,7 +11,13 @@ from ipcpanel.errors import (
     NonSymmetricError,
     RankDeficientError,
 )
-from ipcpanel.numerics import annihilator_apply, chi2_sf, top_svd_pairs, top_sym_eigh
+from ipcpanel.numerics import (
+    annihilator_apply,
+    chi2_sf,
+    stacked_gram,
+    top_svd_pairs,
+    top_sym_eigh,
+)
 
 
 def random_symmetric(seed, m=4, scale=1.0):
@@ -196,6 +202,22 @@ def test_rank_deficient_factor_rejected():
     f = np.ones((5, 2))  # duplicated column
     with pytest.raises(RankDeficientError):
         annihilator_apply(f, np.eye(5))
+
+
+# --- stacked_gram ----------------------------------------------------------------
+
+def test_stacked_gram_matches_einsum():
+    rng = np.random.default_rng(30)
+    a = rng.normal(size=(6, 7, 2))
+    b = rng.normal(size=(6, 7, 3))
+    assert np.allclose(stacked_gram(a, b), np.einsum("ntd,nte->de", a, b), rtol=1e-13, atol=1e-13)
+    view = rng.normal(size=(7, 6, 2)).swapaxes(0, 1)
+    want = np.einsum("ntd,nte->de", view, view)
+    assert np.allclose(stacked_gram(view, view), want, rtol=1e-13, atol=1e-13)
+    sigma2 = rng.uniform(0.5, 2.0, size=6)
+    want = np.einsum("n,ntd,nte->de", sigma2, a, a)
+    got = stacked_gram(a, sigma2[:, None, None] * a)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 # --- chi2_sf -------------------------------------------------------------------
