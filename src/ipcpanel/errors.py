@@ -68,6 +68,10 @@ class DmaxTooLargeError(DataError):
     pass
 
 
+class DeltaTooLargeError(DataError):
+    """T^delta, the scale of the factors' Gram, overflows a float."""
+
+
 # --- initial estimation -----------------------------------------------------
 
 class SingularDesignError(NumericalError):

@@ -15,7 +15,8 @@ from .errors import (
     GroupBudgetExceededError,
     InvalidEigenvaluesError,
 )
-from .init_estimator import f_given_beta, unit_ssr
+# f_given_beta is unused here; perfbench/selftest.py requires this binding
+from .init_estimator import f_given_beta, unit_ssr  # noqa: F401
 from .model import THRESHOLD_GLOBAL, FactorGroup, IpcConfig, PanelDataset
 from .numerics import SVD_ASPECT_RATIO, top_svd_pairs, top_sym_eigh
 
@@ -102,15 +103,14 @@ def mock_eigenvalue(
 ) -> float:
     """Average residual sum of squares after projecting out prior factors.
 
-    ``prior_factors`` is T x k (possibly empty); for the first group the
-    caller passes the full initial factor estimate.
+    ``prior_factors`` is T x k (possibly empty). This is the projection
+    form of the mock; :func:`extract_group` reads the same value off the
+    spectrum of r'r/N as the sum of its values past the projected dims.
     """
     return float(unit_ssr(dataset, beta0, prior_factors).sum()) / dataset.n_units
 
 
 def extract_group(
-    dataset: PanelDataset,
-    beta0: np.ndarray,
     prior: list[FactorGroup],
     config: IpcConfig,
     residual: np.ndarray,
@@ -119,30 +119,28 @@ def extract_group(
     """Estimate the next factor group given all previously extracted ones.
 
     ``spectrum`` is the T descending eigenvalues of r'r/N, r = ``residual``
-    = y - X beta0, and eigenvectors for at least its positive values.
-    Deflating a group projects its factors out of r, so each group reads
-    the next eigenpairs, from ``offset`` = the prior groups' total dim:
-    :func:`eigen_ratio_select` picks d from d_max + 1 values there, the
-    factors are T^{delta/2} times the eigenvectors and the loadings
-    T^{-delta} r F. A zero dimension comes back as an empty group.
+    = y - X beta0, clamped at zero, and eigenvectors for at least its
+    positive values. Deflating a group projects its factors out of r, so
+    each group reads the next eigenpairs, from ``offset`` = the prior
+    groups' total dim: :func:`eigen_ratio_select` picks d from d_max + 1
+    values there, the factors are T^{delta/2} times the eigenvectors and
+    the loadings T^{-delta} r F. A zero dimension comes back as an empty
+    group.
 
-    The threshold is :func:`threshold_tau` of this group's mock eigenvalue;
-    under the global rule, groups after the first read the first group's
-    stored mock instead.
+    The mock eigenvalue, r's energy left once the leading factors are
+    projected out, is the sum of the values from ``offset`` on (from d_max
+    on for the first group: the initial step's d_max factors). The
+    threshold is :func:`threshold_tau` of it; under the global rule,
+    groups after the first read the first group's stored mock instead.
     """
-    n, t = dataset.n_units, dataset.n_periods
-    if prior:
-        stacked = np.hstack([g.factors for g in prior])
-    else:
-        stacked = f_given_beta(dataset, beta0, config.d_max, config.delta)
-    mock = mock_eigenvalue(dataset, beta0, stacked)
+    n, t = residual.shape
+    values, vectors = spectrum
+    offset = sum(g.dim for g in prior)
+    mock = float(np.sum(values[offset if prior else config.d_max :]))
     global_anchor = prior and config.threshold_rule == THRESHOLD_GLOBAL
     tau = threshold_tau(prior[0].mock_eigenvalue if global_anchor else mock, n)
 
-    values, vectors = spectrum
-    offset = sum(g.dim for g in prior)
-    # rounding below zero scales with the whole spectrum, not this window
-    window = np.maximum(values[offset : offset + config.d_max + 1], 0.0)
+    window = values[offset : offset + config.d_max + 1]
     # trailing values at rounding level (a sum: no cancellation): nothing left
     explained = np.sum(values[offset:]) <= 1e-12 * np.sum(values)
     d = 0 if explained else eigen_ratio_select(window, mock, tau).chosen_d
@@ -165,7 +163,8 @@ def iterate_groups(
 
     The eigenpairs of r'r/N, r = y - X beta0, are taken once and walked
     d_max + 1 values at a time; for T > 2N (``numerics.SVD_ASPECT_RATIO``)
-    from the thin SVD of r, values zero-padded to length T.
+    from the thin SVD of r, values zero-padded to length T. Rounding below
+    zero scales with the whole spectrum, so the values are clamped once.
 
     A hard stop guards against pathological data: extraction also ends,
     with an error, once the group count exceeds d_max or the accumulated
@@ -182,10 +181,10 @@ def iterate_groups(
     values, vectors = (
         top_sym_eigh((r.T @ r) / n, t) if t <= SVD_ASPECT_RATIO * n else top_svd_pairs(r, n)
     )
-    spectrum = (np.pad(values, (0, t - values.size)), vectors)
+    spectrum = (np.pad(np.maximum(values, 0.0), (0, t - values.size)), vectors)
     groups: list[FactorGroup] = []
     while True:
-        group = extract_group(dataset, beta0, groups, config, r, spectrum)
+        group = extract_group(groups, config, r, spectrum)
         if group.dim == 0:
             return groups
         groups.append(group)

@@ -15,6 +15,7 @@ from .errors import (
     EmptyGroupError,
     InvalidDomainError,
     IpcError,
+    NonFiniteDataError,
     RankDeficientRError,
     SingularCovarianceError,
     SubPanelError,
@@ -36,6 +37,8 @@ class WaldSpec:
     def __post_init__(self):
         r_matrix = np.atleast_2d(np.asarray(self.r_matrix, dtype=float))
         r_vector = np.atleast_1d(np.asarray(self.r_vector, dtype=float))
+        if not (np.all(np.isfinite(r_matrix)) and np.all(np.isfinite(r_vector))):
+            raise NonFiniteDataError("R and r must be finite")
         if r_matrix.shape[0] != r_vector.shape[0]:
             raise RankDeficientRError(
                 f"R has {r_matrix.shape[0]} rows but r has {r_vector.shape[0]} entries"

@@ -6,12 +6,15 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    DeltaTooLargeError,
     DimensionMismatchError,
     DmaxTooLargeError,
     NonFiniteDataError,
@@ -135,8 +138,10 @@ class FactorGroup:
 
     ``factors`` is T x dim with T^{-delta} F'F = I; ``loadings`` is N x dim.
     ``eigenvalues`` holds d_max eigenvalues of r'r/N, r = y - X beta0,
-    from the prior groups' total dim on; ``mock_eigenvalue`` the average
-    projected residual sum of squares anchoring the selection rule.
+    from the prior groups' total dim on. ``mock_eigenvalue`` anchors the
+    selection rule: the average residual sum of squares left once the prior
+    groups' factors (the d_max initial factors for group 1) are projected
+    out, which is the sum of the eigenvalues of r'r/N past those factors.
     """
 
     group_index: int
@@ -239,11 +244,15 @@ def validate_dataset(dataset: PanelDataset) -> None:
 def validate(dataset: PanelDataset, config: IpcConfig) -> None:
     """Check the dataset and configuration invariants jointly.
 
-    Adds DmaxTooLargeError to the dataset-only checks.
+    Adds DmaxTooLargeError and DeltaTooLargeError to the dataset-only checks.
     """
     validate_dataset(dataset)
     if config.d_max >= min(dataset.n_units, dataset.n_periods):
         raise DmaxTooLargeError(
             f"d_max={config.d_max} must be < min(N, T) = "
             f"{min(dataset.n_units, dataset.n_periods)}"
+        )
+    if config.delta * math.log(dataset.n_periods) >= math.log(sys.float_info.max):
+        raise DeltaTooLargeError(
+            f"delta={config.delta} makes T^delta overflow a float at T={dataset.n_periods}"
         )

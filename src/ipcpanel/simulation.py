@@ -49,6 +49,13 @@ class Dgp1Spec:
     seed: int = 0
 
 
+def _ar1_in_place(a: np.ndarray, c: float) -> np.ndarray:
+    """Run the recursion a[i] = c a[i-1] + a[i] down the first axis, in place."""
+    for i in range(1, a.shape[0]):
+        a[i] = c * a[i - 1] + a[i]
+    return a
+
+
 def _correlate_units(z: np.ndarray) -> np.ndarray:
     """Correlate independent standard normals across units, in place.
 
@@ -58,9 +65,8 @@ def _correlate_units(z: np.ndarray) -> np.ndarray:
     so the draw costs O(z.size) time and no N x N array is formed.
     """
     base = _DGP1_CROSS_CORR_BASE
-    scale = np.sqrt(1.0 - base**2)
-    for i in range(1, z.shape[-1]):
-        z[..., i] = base * z[..., i - 1] + scale * z[..., i]
+    z[..., 1:] *= np.sqrt(1.0 - base**2)
+    _ar1_in_place(np.moveaxis(z, -1, 0), base)
     return z
 
 
@@ -102,13 +108,10 @@ def generate_dgp1(spec: Dgp1Spec) -> tuple[PanelDataset, TruthSpec]:
 
     x = np.empty((n, t, d_x))
     for j in range(d_x):
-        v = np.sqrt(1.0 / (1.0 - rho**2)) * shocks[j, 0]
-        innovations = shocks[j, 1:]
-        path = np.empty((t, n))
-        for s in range(t):
-            v = rho * v + innovations[s]
-            path[s] = v
-        x[:, :, j] = level + ((trend / 4.0) ** (j / 4.0))[None, :] + path.T
+        path = shocks[j]
+        path[0] *= np.sqrt(1.0 / (1.0 - rho**2))
+        _ar1_in_place(path, rho)
+        x[:, :, j] = level + ((trend / 4.0) ** (j / 4.0))[None, :] + path[1:].T
 
     beta = np.asarray(_DGP1_BETA)
     y = x @ beta + gamma @ factors.T + noise

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipcpanel import factor_selection
+from ipcpanel import factor_selection, init_estimator
 from ipcpanel.errors import (
     DegenerateThresholdError,
     GroupBudgetExceededError,
@@ -183,9 +183,10 @@ def test_pure_noise_rarely_yields_a_group():
 def test_group_normalization_any_delta():
     ds, beta, *_ = random_panel(5, n=12, t=14, n_factors=2, noise=1.0)
     r = ds.y - ds.x @ beta
-    spectrum = top_sym_eigh((r.T @ r) / ds.n_units, ds.n_periods)
+    values, vectors = top_sym_eigh((r.T @ r) / ds.n_units, ds.n_periods)
+    spectrum = (np.maximum(values, 0.0), vectors)
     for delta in (0.0, 1.5):
-        group = extract_group(ds, beta, [], IpcConfig(d_max=4, delta=delta), r, spectrum)
+        group = extract_group([], IpcConfig(d_max=4, delta=delta), r, spectrum)
         if group.dim:
             gram = ds.n_periods ** (-delta) * group.factors.T @ group.factors
             assert np.allclose(gram, np.eye(group.dim), atol=1e-8)
@@ -229,6 +230,9 @@ def test_groups_match_deflation_oracle(name, rule):
     oracle = deflation_groups(ds, init.beta0, config)
     assert [g.dim for g in groups] == [g.dim for g in oracle]
     assert groups, "every panel here has a factor"
+    # group 1's mock, a tail sum of the spectrum, is the ALS objective's
+    # last value: both project out the d_max initial factors
+    assert relative_gap(groups[0].mock_eigenvalue, init.ssr_path[-1] / ds.n_units) <= 1e-10
     for got, want in zip(groups, oracle):
         assert relative_gap(got.eigenvalues, want.eigenvalues) <= 1e-8
         assert relative_gap(got.mock_eigenvalue, want.mock_eigenvalue) <= 1e-9
@@ -332,16 +336,16 @@ def dgp1_long():
     return ds, fit_initial(ds, IpcConfig()).beta0
 
 
-def record_calls(monkeypatch, name):
-    """Replace factor_selection.<name> by a wrapper that logs its arguments."""
+def record_calls(monkeypatch, name, module=factor_selection):
+    """Replace <module>.<name> by a wrapper that logs its arguments."""
     calls = []
-    original = getattr(factor_selection, name)
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(factor_selection, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -360,21 +364,20 @@ def test_threshold_anchor_follows_rule(monkeypatch, dgp1_long, rule):
         assert anchors[: len(groups)] == mocks
 
 
-@pytest.mark.parametrize("rule", ["global", "pergroup"])
-def test_one_initial_factor_estimate_per_extraction(monkeypatch, dgp1_long, rule):
-    ds, beta0 = dgp1_long
-    calls = record_calls(monkeypatch, "f_given_beta")
-    iterate_groups(ds, beta0, IpcConfig(threshold_rule=rule))
-    assert len(calls) == 1
-
-
 def test_one_spectrum_per_walk(monkeypatch, dgp1_long):
+    # one eigensolve and no projection: the mocks are tail sums of the spectrum
     ds, beta0 = dgp1_long
     eigh_calls = record_calls(monkeypatch, "top_sym_eigh")
     svd_calls = record_calls(monkeypatch, "top_svd_pairs")
-    groups = iterate_groups(ds, beta0, IpcConfig())
-    assert len(groups) == 3
-    assert len(eigh_calls) + len(svd_calls) == 1
+    f_calls = record_calls(monkeypatch, "f_given_beta")
+    projections = record_calls(monkeypatch, "annihilator_apply", init_estimator)
+    for rule in ("global", "pergroup"):
+        groups = iterate_groups(ds, beta0, IpcConfig(threshold_rule=rule))
+        assert len(groups) == 3
+        assert len(eigh_calls) + len(svd_calls) == 1
+        assert len(f_calls) == len(projections) == 0
+        eigh_calls.clear()
+        svd_calls.clear()
 
 
 def test_exactly_explained_walk_matches_oracle(monkeypatch):

@@ -12,6 +12,7 @@ from ipcpanel.errors import (
     DimensionMismatchError,
     EmptyGroupError,
     InvalidDomainError,
+    NonFiniteDataError,
     RankDeficientRError,
     SubPanelError,
     ZeroLoadingsError,
@@ -117,6 +118,16 @@ def test_rank_deficient_restriction_rejected():
         WaldSpec(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
     with pytest.raises(RankDeficientRError):
         WaldSpec(np.ones((3, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "r_matrix, r_vector",
+    [([[1.0, np.nan]], [0.0]), ([[1.0, 0.0]], [np.nan]), ([[np.inf, 0.0]], [0.0])],
+    ids=["nan-R", "nan-r", "inf-R"],
+)
+def test_non_finite_restriction_rejected(r_matrix, r_vector):
+    with pytest.raises(NonFiniteDataError):
+        WaldSpec(np.array(r_matrix), np.array(r_vector))
 
 
 def test_restriction_width_must_match_regressors(fitted):

@@ -611,6 +611,20 @@ def test_z_of_rounding_error_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "fit").exists()
 
 
+@pytest.mark.parametrize("delta", ["300", "1e6"])
+def test_delta_whose_t_power_overflows_is_a_data_error(tmp_path, capsys, delta):
+    ds, _ = generate_dgp1(Dgp1Spec(30, 30, seed=5))
+    path = tmp_path / "panel.csv"
+    dataset_to_csv(path, ds)
+    code = cli_main([
+        "estimate", "--data", str(path), "--x-cols", "x1,x2", "--dmax", "5",
+        "--delta", delta, "--out", str(tmp_path / "fit"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error: delta=")
+    assert not (tmp_path / "fit").exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from ipcpanel.errors import (
+    DeltaTooLargeError,
     DimensionMismatchError,
     DmaxTooLargeError,
     NonFiniteDataError,
     TimeInvariantRegressorError,
 )
+from ipcpanel.final_estimator import fit_ipc
 from ipcpanel.model import IpcConfig, PanelDataset, TruthSpec, validate, validate_dataset
+from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
 from conftest import random_panel
 
@@ -106,6 +109,23 @@ def test_config_field_validation():
         IpcConfig(d_max=0)
     with pytest.raises(ValueError):
         IpcConfig(threshold_rule="sometimes")
+
+
+@pytest.mark.parametrize("delta", [300.0, 1e6])
+def test_delta_whose_t_power_overflows_is_rejected(delta):
+    # at T = 30, T^300 overflows a float and T^1e6 raises OverflowError
+    ds, _ = generate_dgp1(Dgp1Spec(30, 30, seed=5))
+    with pytest.raises(DeltaTooLargeError):
+        fit_ipc(ds, IpcConfig(d_max=5, delta=delta))
+
+
+def test_largest_deltas_below_the_overflow_bound_fit():
+    # T^200 is about 1e295 at T = 30, and the estimates are invariant to delta
+    ds, _ = generate_dgp1(Dgp1Spec(30, 30, seed=5))
+    want = fit_ipc(ds, IpcConfig(d_max=5))
+    got = fit_ipc(ds, IpcConfig(d_max=5, delta=200.0))
+    assert [g.dim for g in got.groups] == [g.dim for g in want.groups]
+    assert np.abs(got.beta - want.beta).max() <= 1e-13 * np.abs(want.beta).max()
 
 
 def test_config_holds_only_the_cli_settings():
