@@ -15,7 +15,7 @@ from .errors import (
     SingularZGramError,
 )
 from .factor_selection import iterate_groups
-from .init_estimator import InitResult, annihilate, fit_initial, unit_ssr
+from .init_estimator import InitResult, fit_initial, unit_ssr
 from .model import FactorGroup, IpcConfig, IpcFit, PanelDataset, validate
 from .numerics import RANK_RTOL, annihilator_apply, check_gram_rank, solve_spd, stacked_gram
 
@@ -63,7 +63,7 @@ def z_matrices(dataset: PanelDataset, f_hat: np.ndarray, loadings: np.ndarray) -
     SingularLoadingsError
         If the loading Gram matrix is numerically singular.
     """
-    return _across_units(annihilate(dataset.x, f_hat), loadings)
+    return _across_units(annihilator_apply(f_hat, dataset.x), loadings)
 
 
 def sandwich_covariance(z: np.ndarray, z_gram: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -118,7 +118,7 @@ def fit_final(
     """
     n, t = dataset.n_units, dataset.n_periods
     f_hat, gamma_hat = combine_groups(groups, n, t)
-    mx = annihilate(dataset.x, f_hat)
+    mx = annihilator_apply(f_hat, dataset.x)
     x_gram = stacked_gram(mx, mx)
     check_gram_rank(x_gram, SingularDesignError, "projected regressors are numerically collinear")
     g = stacked_gram(mx, (dataset.y - dataset.x @ init.beta0)[..., None])[:, 0]

@@ -99,9 +99,14 @@ def _wald(beta: np.ndarray, cov: np.ndarray, spec: WaldSpec) -> InferenceResult:
         raise DimensionMismatchError(
             f"R has {spec.r_matrix.shape[1]} columns but there are {beta.shape[0]} regressors"
         )
-    gap = spec.r_matrix @ beta - spec.r_vector
-    restricted = spec.r_matrix @ cov @ spec.r_matrix.T
-    stat = float(gap @ solve_spd(restricted, gap, SingularCovarianceError))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = spec.r_matrix @ beta - spec.r_vector
+        restricted = spec.r_matrix @ cov @ spec.r_matrix.T
+        if not np.all(np.isfinite(restricted)):
+            raise NonFiniteDataError("R V R' overflows: R is too large for the covariance")
+        stat = float(gap @ solve_spd(restricted, gap, SingularCovarianceError))
+    if not math.isfinite(stat):
+        raise NonFiniteDataError("the Wald statistic overflows: R beta - r is too large")
     stat = max(stat, 0.0)
     return InferenceResult(
         beta=beta,

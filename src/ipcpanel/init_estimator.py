@@ -47,22 +47,15 @@ class InitResult:
     converged: bool
 
 
-def annihilate(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply M_F along the time axis of an N x T or N x T x d_x array."""
-    n, t = a.shape[:2]
-    flat = np.moveaxis(a, 1, 0).reshape(t, -1)
-    return np.moveaxis(annihilator_apply(f, flat).reshape((t, n) + a.shape[2:]), 0, 1)
-
-
 def unit_ssr(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Each unit's |M_F (y_i - X_i beta)|^2, as N values.
+    """Each unit's |M_F (y_i - X_i beta)|^2: the N column sums of (M_F r')^2.
 
     A squared norm: unlike r_i' M_F r_i it does not cancel when M_F r_i is
     small next to r_i, and it is never negative.
     """
     r = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
-    mr = annihilate(r, f)
-    return np.sum(mr * mr, axis=1)
+    mr = annihilator_apply(f, r.T)
+    return np.sum(mr * mr, axis=0)
 
 
 def beta_given_f(dataset: PanelDataset, f: np.ndarray) -> np.ndarray:
@@ -76,7 +69,7 @@ def beta_given_f(dataset: PanelDataset, f: np.ndarray) -> np.ndarray:
     SingularDesignError
         If the projected regressor Gram matrix is numerically singular.
     """
-    mx = annihilate(dataset.x, f)
+    mx = annihilator_apply(f, dataset.x)
     gram = stacked_gram(mx, mx)
     check_gram_rank(gram, SingularDesignError, "projected regressors are numerically collinear")
     return np.linalg.solve(gram, stacked_gram(mx, dataset.y[..., None])[:, 0])

@@ -124,10 +124,11 @@ def check_gram_rank(gram: np.ndarray, error: type[Exception], message: str) -> N
 
 
 def annihilator_apply(f: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply M_F = I - F(F'F)^{-1}F' to the columns of ``v``.
+    """Apply M_F = I - F(F'F)^{-1}F' along the second-to-last axis of ``v``.
 
-    ``f`` is T x k with full column rank (k = 0 returns ``v`` unchanged),
-    ``v`` is T x n. Rank is judged by :func:`check_gram_rank`.
+    ``f`` is T x k of full column rank (k = 0 copies ``v``); ``v`` is length T,
+    T x n, or an N x T x d stack that matmul broadcasts over without moving
+    an axis. Rank is judged by :func:`check_gram_rank`.
     """
     f = np.asarray(f, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -135,13 +136,13 @@ def annihilator_apply(f: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise RankDeficientError(f"factor matrix must be 2-d, got shape {f.shape}")
     if f.shape[1] == 0:
         return v.copy()
-    if f.shape[0] != v.shape[0]:
+    if v.ndim == 0 or v.shape[-2 if v.ndim > 1 else 0] != f.shape[0]:
         raise RankDeficientError(
-            f"row mismatch: factors have {f.shape[0]} rows, values {v.shape[0]}"
+            f"row mismatch: factors have {f.shape[0]} rows, values have shape {v.shape}"
         )
     gram = f.T @ f
     check_gram_rank(gram, RankDeficientError, "factor matrix is numerically rank deficient")
-    return v - f @ np.linalg.solve(gram, f.T @ v)
+    return v - f @ (np.linalg.solve(gram, f.T) @ v)
 
 
 def stacked_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -238,7 +238,7 @@ def test_fit_final_projects_once(monkeypatch):
     monkeypatch.setattr(final_estimator, "annihilator_apply", counting)
     fit = fit_final(ds, init, groups, config)
     assert fit.total_factors > 0
-    assert calls == [(30, 60), (30, 60), (30, 30)]
+    assert calls == [(30, 30, 2), (30, 60), (30, 30)]
 
 
 def test_fit_metadata_and_sigma2():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -128,6 +129,20 @@ def test_rank_deficient_restriction_rejected():
 def test_non_finite_restriction_rejected(r_matrix, r_vector):
     with pytest.raises(NonFiniteDataError):
         WaldSpec(np.array(r_matrix), np.array(r_vector))
+
+
+@pytest.mark.parametrize(
+    "r_matrix, r_vector, cause",
+    [([[1e300, 1.0]], [0.0], "R V R'"), ([[1e200, 0.0]], [0.0], "R V R'"),
+     ([[1.0, 0.0]], [1e308], "Wald statistic")],
+    ids=["R-1e300", "R-1e200", "r-1e308"],
+)
+def test_overflowing_restriction_is_named(fitted, r_matrix, r_vector, cause):
+    # finite restrictions that WaldSpec accepts but whose products overflow;
+    # a RuntimeWarning would be an error here, so none may escape
+    ds, _, fit = fitted
+    with pytest.raises(NonFiniteDataError, match=re.escape(cause)):
+        wald_test(ds, fit, WaldSpec(np.array(r_matrix), np.array(r_vector)))
 
 
 def test_restriction_width_must_match_regressors(fitted):

@@ -5,7 +5,6 @@ from ipcpanel import init_estimator
 from ipcpanel.errors import SingularDesignError
 from ipcpanel.final_estimator import fit_ipc
 from ipcpanel.init_estimator import (
-    annihilate,
     beta_given_f,
     f_given_beta,
     fit_initial,
@@ -178,19 +177,7 @@ def test_iteration_cap_returns_non_converged_result(monkeypatch):
     assert partial.beta0.shape == (2,)
 
 
-# --- annihilate and unit_ssr ------------------------------------------------------
-
-@pytest.mark.parametrize("k", [0, 1, 3])
-def test_annihilate_matches_dense_oracle(k):
-    rng = np.random.default_rng(20 + k)
-    n, t = 5, 9
-    f = rng.normal(size=(t, k))
-    m = dense_annihilator(f)
-    y = rng.normal(size=(n, t))
-    x = rng.normal(size=(n, t, 2))
-    assert np.allclose(annihilate(y, f), np.stack([m @ y[i] for i in range(n)]), atol=1e-12)
-    assert np.allclose(annihilate(x, f), np.stack([m @ x[i] for i in range(n)]), atol=1e-12)
-
+# --- unit_ssr --------------------------------------------------------------------
 
 def test_als_objective_cannot_cancel():
     # at the truth of a noiseless panel M_F r_i is rounding error next to r_i;

@@ -19,6 +19,8 @@ from ipcpanel.numerics import (
     top_sym_eigh,
 )
 
+from conftest import dense_annihilator
+
 
 def random_symmetric(seed, m=4, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -202,6 +204,41 @@ def test_rank_deficient_factor_rejected():
     f = np.ones((5, 2))  # duplicated column
     with pytest.raises(RankDeficientError):
         annihilator_apply(f, np.eye(5))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_annihilator_apply_matches_dense_oracle(k):
+    # M_F acts along axis -2 of a matrix or stack, and along the only axis of a vector
+    rng = np.random.default_rng(20 + k)
+    n, t = 5, 9
+    f = rng.normal(size=(t, k))
+    m = dense_annihilator(f)
+    v = rng.normal(size=(t, 4))
+    x = rng.normal(size=(n, t, 2))
+    r = rng.normal(size=(n, t))
+    u = rng.normal(size=t)
+    assert np.allclose(annihilator_apply(f, v), m @ v, atol=1e-12)
+    assert np.allclose(annihilator_apply(f, x), np.stack([m @ xi for xi in x]), atol=1e-12)
+    assert np.allclose(annihilator_apply(f, r.T), m @ r.T, atol=1e-12)
+    assert np.allclose(annihilator_apply(f, u), m @ u, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(5, 8, 2), (8,), ()], ids=["stack", "vector", "scalar"])
+def test_row_mismatch_rejected(shape):
+    # the time axis of a stack is -2 and must have T = 9 rows
+    f = np.random.default_rng(1).normal(size=(9, 2))
+    with pytest.raises(RankDeficientError):
+        annihilator_apply(f, np.ones(shape))
+
+
+def test_projected_stack_is_contiguous():
+    # the stacked Grams reshape the projected N x T x d_x regressors to
+    # (N*T) x d_x; on a C-contiguous result that reshape is a view, not a copy
+    rng = np.random.default_rng(2)
+    f = rng.normal(size=(9, 3))
+    mx = annihilator_apply(f, rng.normal(size=(5, 9, 2)))
+    assert mx.flags["C_CONTIGUOUS"]
+    assert np.shares_memory(mx, mx.reshape(-1, 2))
 
 
 # --- stacked_gram ----------------------------------------------------------------
