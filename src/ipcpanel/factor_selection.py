@@ -13,12 +13,13 @@ import numpy as np
 from .errors import (
     DegenerateThresholdError,
     GroupBudgetExceededError,
+    InvalidDomainError,
     InvalidEigenvaluesError,
 )
-# f_given_beta is unused here; perfbench/selftest.py requires this binding
+# f_given_beta and top_sym_eigh are unused here; perfbench/selftest.py requires both bindings
 from .init_estimator import f_given_beta, unit_ssr  # noqa: F401
 from .model import THRESHOLD_GLOBAL, FactorGroup, IpcConfig, PanelDataset
-from .numerics import SVD_ASPECT_RATIO, top_svd_pairs, top_sym_eigh
+from .numerics import top_sym_eigh  # noqa: F401
 
 #: slack below zero tolerated in eigenvalue inputs before clamping
 EIGENVALUE_FLOOR = -1e-10
@@ -157,14 +158,15 @@ def extract_group(
 
 
 def iterate_groups(
-    dataset: PanelDataset, beta0: np.ndarray, config: IpcConfig
+    dataset: PanelDataset, beta0: np.ndarray, config: IpcConfig,
+    spectrum: tuple[np.ndarray, np.ndarray],
 ) -> list[FactorGroup]:
     """Extract groups until one comes back empty; that sentinel is dropped.
 
-    The eigenpairs of r'r/N, r = y - X beta0, are taken once and walked
-    d_max + 1 values at a time; for T > 2N (``numerics.SVD_ASPECT_RATIO``)
-    from the thin SVD of r, values zero-padded to length T. Rounding below
-    zero scales with the whole spectrum, so the values are clamped once.
+    ``spectrum`` is the eigenpairs of r'r/N, r = y - X beta0: all T values,
+    descending and clamped at zero, as ``InitResult.spectrum`` or
+    ``init_estimator.residual_spectrum(dataset, beta0, T)`` gives them. It is
+    walked d_max + 1 values at a time; step 2 makes no eigensolve of its own.
 
     A hard stop guards against pathological data: extraction also ends,
     with an error, once the group count exceeds d_max or the accumulated
@@ -172,16 +174,16 @@ def iterate_groups(
 
     Raises
     ------
+    InvalidDomainError
+        When ``spectrum`` lacks some of the T values; every mock is a tail sum.
     GroupBudgetExceededError
         When the hard stop fires before an empty group; the groups found
         so far ride on the exception.
     """
-    n, t = dataset.n_units, dataset.n_periods
+    t = dataset.n_periods
+    if np.shape(spectrum[0]) != (t,):
+        raise InvalidDomainError(f"need the T = {t} values of r'r/N, got {np.size(spectrum[0])}")
     r = dataset.y - dataset.x @ np.asarray(beta0, dtype=float)
-    values, vectors = (
-        top_sym_eigh((r.T @ r) / n, t) if t <= SVD_ASPECT_RATIO * n else top_svd_pairs(r, n)
-    )
-    spectrum = (np.pad(np.maximum(values, 0.0), (0, t - values.size)), vectors)
     groups: list[FactorGroup] = []
     while True:
         group = extract_group(groups, config, r, spectrum)

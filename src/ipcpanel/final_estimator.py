@@ -160,5 +160,5 @@ def fit_ipc(dataset: PanelDataset, config: IpcConfig | None = None) -> IpcFit:
     config = config or IpcConfig()
     validate(dataset, config)
     init = fit_initial(dataset, config)
-    groups = iterate_groups(dataset, init.beta0, config)
+    groups = iterate_groups(dataset, init.beta0, config, init.spectrum)
     return fit_final(dataset, init, groups, config)

@@ -38,13 +38,15 @@ ALS_MAX_ITER = 1000
 
 @dataclass(frozen=True)
 class InitResult:
-    """Converged (or capped) state of the alternating minimization."""
+    """Converged (or capped) state of the alternating minimization; ``spectrum``
+    is ``residual_spectrum(dataset, beta0, T)``, the eigenpairs step 2 walks."""
 
     beta0: np.ndarray
     f0: np.ndarray
     ssr_path: np.ndarray
     iterations: int
     converged: bool
+    spectrum: tuple[np.ndarray, np.ndarray]
 
 
 def unit_ssr(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -75,55 +77,69 @@ def beta_given_f(dataset: PanelDataset, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, stacked_gram(mx, dataset.y[..., None])[:, 0])
 
 
+def residual_spectrum(
+    dataset: PanelDataset, beta: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top ``k`` eigenpairs of r'r/N, r = y - X beta, values descending, clamped
+    at zero and zero-padded to length ``k``. For T > 2N (``numerics.SVD_ASPECT_RATIO``)
+    they come from the thin SVD of r, so no T x T matrix is formed: at most N vectors."""
+    n, t = dataset.n_units, dataset.n_periods
+    r = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
+    svd = t > SVD_ASPECT_RATIO * n
+    values, vectors = top_svd_pairs(r, min(k, n)) if svd else top_sym_eigh((r.T @ r) / n, k)
+    return np.pad(np.maximum(values, 0.0), (0, k - values.size)), vectors
+
+
 def f_given_beta(
     dataset: PanelDataset, beta: np.ndarray, k: int, delta: float
 ) -> np.ndarray:
     """Optimal k-dimensional factor matrix for a fixed slope.
 
-    Columns are T^{delta/2} times the leading eigenvectors of the
-    residual covariance N^{-1} sum_i (y_i - X_i beta)(y_i - X_i beta)'.
-    Long panels (T > 2N, see ``numerics.SVD_ASPECT_RATIO``) take them from
-    the thin SVD of the N x T residual, so no T x T matrix is formed.
+    Columns are T^{delta/2} times the leading eigenvectors of the residual
+    covariance r'r/N, r = y - X beta, from :func:`residual_spectrum`.
     """
-    n, t = dataset.n_units, dataset.n_periods
-    w = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
-    _, vectors = (
-        top_sym_eigh((w.T @ w) / n, k) if t <= SVD_ASPECT_RATIO * n else top_svd_pairs(w, k)
-    )
-    return t ** (delta / 2.0) * vectors
+    return dataset.n_periods ** (delta / 2.0) * residual_spectrum(dataset, beta, k)[1]
 
 
 def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
     """Alternate the two closed-form updates, starting from pooled OLS,
-    until the objective or the slope settles (``ALS_TOL``,
-    ``ALS_COEF_TOL``) or ``ALS_MAX_ITER`` iterations have run.
+    until the objective or the slope settles (``ALS_TOL``, ``ALS_COEF_TOL``)
+    or ``ALS_MAX_ITER`` iterations have run. One eigensolve per iteration: the
+    slope test runs first, so the step that settles the slope takes the whole
+    spectrum at ``beta0`` (the other stops take it once more, at the end).
 
     Hitting the cap is not an error: the result comes back with
     ``converged=False``.
     """
-    beta = beta_given_f(dataset, np.zeros((dataset.n_periods, 0)))
-    f = f_given_beta(dataset, beta, config.d_max, config.delta)
+    t, d_max = dataset.n_periods, config.d_max
+    beta = beta_given_f(dataset, np.zeros((t, 0)))
+    f = f_given_beta(dataset, beta, d_max, config.delta)
     path = [float(unit_ssr(dataset, beta, f).sum())]
+    spectrum = None
     converged = False
     iterations = 0
     for iterations in range(1, ALS_MAX_ITER + 1):
         beta_new = beta_given_f(dataset, f)
-        f = f_given_beta(dataset, beta_new, config.d_max, config.delta)
+        d_coef = np.linalg.norm(beta_new - beta) / max(np.linalg.norm(beta), 1e-300)
+        spectrum = residual_spectrum(dataset, beta_new, t if d_coef < ALS_COEF_TOL else d_max)
+        f = t ** (config.delta / 2.0) * spectrum[1][:, :d_max]
         path.append(float(unit_ssr(dataset, beta_new, f).sum()))
         if path[-1] > path[-2] + MONOTONICITY_RTOL * path[0]:
             raise MonotonicityError(
                 f"objective rose from {path[-2]!r} to {path[-1]!r} at iteration {iterations}"
             )
         d_ssr = abs(path[-1] - path[-2]) / max(path[-2], 1e-300)
-        d_coef = np.linalg.norm(beta_new - beta) / max(np.linalg.norm(beta), 1e-300)
         beta = beta_new
         if d_ssr < ALS_TOL or d_coef < ALS_COEF_TOL:
             converged = True
             break
+    if spectrum is None or spectrum[0].size < t:
+        spectrum = residual_spectrum(dataset, beta, t)
     return InitResult(
         beta0=beta,
         f0=f,
         ssr_path=np.asarray(path),
         iterations=iterations,
         converged=converged,
+        spectrum=spectrum,
     )

@@ -10,6 +10,7 @@ across runs and parallelism levels.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -205,15 +206,15 @@ def run_monte_carlo(
 
     The fold is ordered by replication index, so the aggregate is a pure
     function of (spec, reps, config) regardless of ``parallelism``, which
-    is the number of worker processes (at most ``reps``; 1 or less runs
-    in this process). Failed replications are excluded; more than 1% of
-    them fails the run.
+    is the number of worker processes (at most ``reps`` and the CPU count;
+    1 or less runs in this process). Failed replications are excluded; more
+    than 1% of them fails the run.
     """
     if reps < 1:
         raise MonteCarloError("need at least one replication")
     config = config or IpcConfig()
     tasks = [(spec, config, r) for r in range(reps)]
-    workers = min(parallelism, reps)
+    workers = min(parallelism, reps, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_replicate, tasks))

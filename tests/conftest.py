@@ -16,13 +16,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from ipcpanel import factor_selection  # noqa: E402
 from ipcpanel.errors import GroupBudgetExceededError  # noqa: E402
 from ipcpanel.factor_selection import (  # noqa: E402
     eigen_ratio_select,
+    iterate_groups,
     mock_eigenvalue,
     threshold_tau,
 )
-from ipcpanel.init_estimator import f_given_beta  # noqa: E402
+from ipcpanel.init_estimator import f_given_beta, residual_spectrum  # noqa: E402
 from ipcpanel.model import THRESHOLD_GLOBAL, FactorGroup, PanelDataset  # noqa: E402
 
 
@@ -72,6 +74,13 @@ def dense_top_eigenpairs(u: np.ndarray, k: int):
     return values, vectors * np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)])
 
 
+def walk_groups(dataset, beta0, config):
+    """Step 2 at any slope: ``iterate_groups`` on the whole spectrum of r'r/N
+    at ``beta0``, as ``fit_initial`` hands it over at its own slope."""
+    spectrum = residual_spectrum(dataset, beta0, dataset.n_periods)
+    return iterate_groups(dataset, beta0, config, spectrum)
+
+
 def deflation_groups(dataset, beta0, config):
     """Step 2 by per-group deflation (oracle path).
 
@@ -113,6 +122,19 @@ def deflation_groups(dataset, beta0, config):
         total = sum(g.dim for g in groups)
         if len(groups) > config.d_max or total + config.d_max >= t:
             raise GroupBudgetExceededError(groups, "oracle budget exceeded")
+
+
+def record_calls(monkeypatch, name, module=factor_selection):
+    """Replace <module>.<name> by a wrapper that logs its arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def random_panel(seed, n=6, t=7, d_x=2, n_factors=1, noise=0.5):

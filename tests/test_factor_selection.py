@@ -10,6 +10,7 @@ from ipcpanel import factor_selection, init_estimator
 from ipcpanel.errors import (
     DegenerateThresholdError,
     GroupBudgetExceededError,
+    InvalidDomainError,
     InvalidEigenvaluesError,
 )
 from ipcpanel.factor_selection import (
@@ -20,12 +21,18 @@ from ipcpanel.factor_selection import (
     threshold_tau,
 )
 from ipcpanel.final_estimator import fit_final, fit_ipc
-from ipcpanel.init_estimator import fit_initial
+from ipcpanel.init_estimator import fit_initial, residual_spectrum
 from ipcpanel.model import IpcConfig, PanelDataset
-from ipcpanel.numerics import top_sym_eigh
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
-from conftest import dense_annihilator, dense_projector, deflation_groups, random_panel
+from conftest import (
+    dense_annihilator,
+    dense_projector,
+    deflation_groups,
+    random_panel,
+    record_calls,
+    walk_groups,
+)
 
 
 # --- eigen_ratio_select -------------------------------------------------------
@@ -156,7 +163,7 @@ def test_noiseless_single_trend_factor():
     beta = np.array([1.0, 1.0])
     ds = PanelDataset(y=x @ beta + loadings @ trend.T, x=x)
     config = IpcConfig(d_max=5)
-    [group] = iterate_groups(ds, beta, config)
+    [group] = walk_groups(ds, beta, config)
     assert group.dim == 1
     assert np.allclose(
         dense_projector(group.factors), dense_projector(trend), atol=1e-6
@@ -176,15 +183,14 @@ def test_pure_noise_rarely_yields_a_group():
         rng = np.random.default_rng(10_000 + seed)
         x = rng.normal(size=(30, 30, 1))
         y = x @ beta + 0.05 * rng.standard_normal((30, 30))
-        empty += not iterate_groups(PanelDataset(y=y, x=x), beta, config)
+        empty += not walk_groups(PanelDataset(y=y, x=x), beta, config)
     assert empty / 200 >= 0.95
 
 
 def test_group_normalization_any_delta():
     ds, beta, *_ = random_panel(5, n=12, t=14, n_factors=2, noise=1.0)
     r = ds.y - ds.x @ beta
-    values, vectors = top_sym_eigh((r.T @ r) / ds.n_units, ds.n_periods)
-    spectrum = (np.maximum(values, 0.0), vectors)
+    spectrum = residual_spectrum(ds, beta, ds.n_periods)
     for delta in (0.0, 1.5):
         group = extract_group([], IpcConfig(d_max=4, delta=delta), r, spectrum)
         if group.dim:
@@ -226,7 +232,7 @@ def test_groups_match_deflation_oracle(name, rule):
     # noiseless 12x60 take the SVD route
     ds, init, d_max = oracle_panel(name)
     config = IpcConfig(d_max=d_max, threshold_rule=rule)
-    groups = iterate_groups(ds, init.beta0, config)
+    groups = walk_groups(ds, init.beta0, config)
     oracle = deflation_groups(ds, init.beta0, config)
     assert [g.dim for g in groups] == [g.dim for g in oracle]
     assert groups, "every panel here has a factor"
@@ -265,7 +271,7 @@ def test_no_factor_data_gives_empty_list():
     x = rng.normal(size=(n, t, 2))
     y = x @ np.ones(2) + rng.normal(size=(n, t))
     ds = PanelDataset(y=y, x=x)
-    assert iterate_groups(ds, np.ones(2), IpcConfig()) == []
+    assert walk_groups(ds, np.ones(2), IpcConfig()) == []
 
 
 def test_two_scale_construction_splits_groups():
@@ -288,7 +294,7 @@ def test_two_scale_construction_splits_groups():
         + 0.2 * rng.standard_normal((n, t))
     )
     ds = PanelDataset(y=y, x=x)
-    groups = iterate_groups(ds, beta, IpcConfig())
+    groups = walk_groups(ds, beta, IpcConfig())
     assert [g.dim for g in groups] == [1, 1]
     # magnitude ordering and span recovery of the dominant scale
     assert groups[0].eigenvalues[0] > groups[1].eigenvalues[0]
@@ -303,7 +309,7 @@ def test_group_ordering_on_simulated_panel():
     ds, _ = generate_dgp1(Dgp1Spec(40, 40, seed=11))
     config = IpcConfig()
     init = fit_initial(ds, config)
-    groups = iterate_groups(ds, init.beta0, config)
+    groups = walk_groups(ds, init.beta0, config)
     assert all(g.dim >= 1 for g in groups)
     tops = [g.eigenvalues[0] for g in groups]
     assert all(a >= b for a, b in zip(tops, tops[1:]))
@@ -325,7 +331,7 @@ def test_budget_exceeded_reports_partial_groups():
     beta = np.array([1.0])
     ds = PanelDataset(y=x @ beta + common, x=x)
     with pytest.raises(GroupBudgetExceededError) as err:
-        iterate_groups(ds, beta, IpcConfig(d_max=2))
+        walk_groups(ds, beta, IpcConfig(d_max=2))
     assert len(err.value.groups) == 3
     assert all(g.dim == 1 for g in err.value.groups)
 
@@ -336,24 +342,11 @@ def dgp1_long():
     return ds, fit_initial(ds, IpcConfig()).beta0
 
 
-def record_calls(monkeypatch, name, module=factor_selection):
-    """Replace <module>.<name> by a wrapper that logs its arguments."""
-    calls = []
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 @pytest.mark.parametrize("rule", ["global", "pergroup"])
 def test_threshold_anchor_follows_rule(monkeypatch, dgp1_long, rule):
     ds, beta0 = dgp1_long
     calls = record_calls(monkeypatch, "threshold_tau")
-    groups = iterate_groups(ds, beta0, IpcConfig(threshold_rule=rule))
+    groups = walk_groups(ds, beta0, IpcConfig(threshold_rule=rule))
     anchors = [args[0] for args in calls]
     mocks = [g.mock_eigenvalue for g in groups]
     assert [g.dim for g in groups] == [1, 1, 1]
@@ -364,20 +357,44 @@ def test_threshold_anchor_follows_rule(monkeypatch, dgp1_long, rule):
         assert anchors[: len(groups)] == mocks
 
 
+#: every binding through which the package eigensolves r'r/N: the eigh
+#: route's first, the SVD route's second
+EIGENSOLVERS = [
+    (init_estimator, "top_sym_eigh"),
+    (init_estimator, "top_svd_pairs"),
+    (factor_selection, "top_sym_eigh"),
+]
+
+
 def test_one_spectrum_per_walk(monkeypatch, dgp1_long):
-    # one eigensolve and no projection: the mocks are tail sums of the spectrum
-    ds, beta0 = dgp1_long
-    eigh_calls = record_calls(monkeypatch, "top_sym_eigh")
-    svd_calls = record_calls(monkeypatch, "top_svd_pairs")
+    # the step that settles the slope takes the whole spectrum, and step 2
+    # walks it: one eigensolve to start, one per ALS iteration, and none, nor
+    # any projection, in step 2 (the mocks are tail sums of the spectrum)
+    logs = [record_calls(monkeypatch, name, module) for module, name in EIGENSOLVERS]
     f_calls = record_calls(monkeypatch, "f_given_beta")
     projections = record_calls(monkeypatch, "annihilator_apply", init_estimator)
-    for rule in ("global", "pergroup"):
-        groups = iterate_groups(ds, beta0, IpcConfig(threshold_rule=rule))
-        assert len(groups) == 3
-        assert len(eigh_calls) + len(svd_calls) == 1
-        assert len(f_calls) == len(projections) == 0
-        eigh_calls.clear()
-        svd_calls.clear()
+    for route, ds in [(0, dgp1_panel(40, 40)), (1, dgp1_long[0])]:
+        fit = fit_ipc(ds, IpcConfig())
+        assert len(logs[route]) == sum(map(len, logs)) == fit.als_iterations + 1
+        init = fit_initial(ds, IpcConfig())
+        for log in [*logs, f_calls, projections]:
+            log.clear()
+        for rule in ("global", "pergroup"):
+            config = IpcConfig(threshold_rule=rule)
+            groups = iterate_groups(ds, init.beta0, config, init.spectrum)
+            assert [g.dim for g in groups] == [g.dim for g in fit.groups]
+        assert sum(map(len, logs)) == len(f_calls) == len(projections) == 0
+
+
+@pytest.mark.parametrize("k", ["d_max", "N"])
+def test_truncated_spectrum_rejected(dgp1_long, k):
+    # the mocks are tail sums of all T values: a top-d_max spectrum, or the
+    # N values of the thin SVD without their padding, would understate them
+    ds, beta0 = dgp1_long
+    config = IpcConfig()
+    spectrum = residual_spectrum(ds, beta0, config.d_max if k == "d_max" else ds.n_units)
+    with pytest.raises(InvalidDomainError, match="T = 200"):
+        iterate_groups(ds, beta0, config, spectrum)
 
 
 def test_exactly_explained_walk_matches_oracle(monkeypatch):
@@ -388,7 +405,7 @@ def test_exactly_explained_walk_matches_oracle(monkeypatch):
     config = IpcConfig(d_max=3)
     oracle = deflation_groups(ds, beta, config)
     calls = record_calls(monkeypatch, "eigen_ratio_select")
-    groups = iterate_groups(ds, beta, config)
+    groups = walk_groups(ds, beta, config)
     assert len(calls) == 1
     assert [g.dim for g in groups] == [g.dim for g in oracle] == [1]
     gap = dense_projector(groups[0].factors) - dense_projector(oracle[0].factors)

@@ -18,7 +18,6 @@ from ipcpanel.errors import (
     SubPanelError,
     ZeroLoadingsError,
 )
-from ipcpanel.factor_selection import iterate_groups
 from ipcpanel.final_estimator import fit_final, fit_ipc
 from ipcpanel.inference import (
     WaldSpec,
@@ -33,7 +32,7 @@ from ipcpanel.model import FactorGroup, IpcConfig, PanelDataset
 from ipcpanel.numerics import chi2_sf
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
-from conftest import dense_annihilator, dense_sandwich, random_panel
+from conftest import dense_annihilator, dense_sandwich, random_panel, walk_groups
 
 
 def make_group(index, loadings, t):
@@ -224,7 +223,7 @@ def test_regressor_rescaling_leaves_wald_invariant():
     def wald_with_fixed_f(dataset):
         beta0 = beta_given_f(dataset, init.f0)
         start = dataclasses.replace(init, beta0=beta0)
-        groups = iterate_groups(dataset, beta0, config)
+        groups = walk_groups(dataset, beta0, config)
         fit = fit_final(dataset, start, groups, config)
         spec = WaldSpec(np.array([[1.0, 0.0]]), np.zeros(1))
         return wald_test(dataset, fit, spec).wald_stat

@@ -5,6 +5,7 @@ from ipcpanel import init_estimator
 from ipcpanel.errors import SingularDesignError
 from ipcpanel.final_estimator import fit_ipc
 from ipcpanel.init_estimator import (
+    MONOTONICITY_RTOL,
     beta_given_f,
     f_given_beta,
     fit_initial,
@@ -13,7 +14,13 @@ from ipcpanel.init_estimator import (
 from ipcpanel.model import IpcConfig, PanelDataset
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
-from conftest import dense_annihilator, dense_projector, dense_top_eigenpairs, random_panel
+from conftest import (
+    dense_annihilator,
+    dense_projector,
+    dense_top_eigenpairs,
+    random_panel,
+    record_calls,
+)
 
 
 def test_no_factor_noiseless_regression_is_exact():
@@ -175,6 +182,44 @@ def test_iteration_cap_returns_non_converged_result(monkeypatch):
     assert not partial.converged
     assert len(partial.ssr_path) == 3
     assert partial.beta0.shape == (2,)
+
+
+# --- the spectrum handed to step 2 ------------------------------------------------
+
+#: the three ways the alternating minimization ends, by the constants that force them
+STOPS = {
+    "slope": {},
+    "objective": {"ALS_COEF_TOL": 0.0},
+    "cap": {"ALS_MAX_ITER": 2},
+}
+
+
+@pytest.mark.parametrize("stop", list(STOPS))
+@pytest.mark.parametrize("n, t", [(40, 40), (20, 60)], ids=["40x40", "20x60"])
+def test_handed_off_spectrum_matches_dense_oracle(monkeypatch, n, t, stop):
+    # the slope stop's last eigensolve is the whole spectrum; after the other
+    # two stops it is taken once more at beta0. 20x60 takes the SVD route
+    for name, value in STOPS[stop].items():
+        monkeypatch.setattr(init_estimator, name, value)
+    logs = [record_calls(monkeypatch, name, init_estimator)
+            for name in ("top_sym_eigh", "top_svd_pairs")]
+    ds, _ = generate_dgp1(Dgp1Spec(n, t, seed=100))
+    config = IpcConfig(d_max=5)
+    init = fit_initial(ds, config)
+    assert init.converged == (stop != "cap")
+    if stop == "cap":
+        assert init.iterations == 2
+    assert sum(map(len, logs)) == init.iterations + (1 if stop == "slope" else 2)
+
+    values, vectors = init.spectrum
+    want_values, want_vectors = dense_top_eigenpairs(ds.y - ds.x @ init.beta0, t)
+    assert values.shape == (t,) and vectors.shape == (t, min(n, t))
+    assert np.all(values >= 0.0)
+    assert np.abs(values - want_values).max() <= 1e-12 * want_values[0]
+    assert np.abs(vectors - want_vectors[:, : min(n, t)]).max() <= 1e-9
+    refit = f_given_beta(ds, init.beta0, config.d_max, config.delta)
+    assert np.abs(dense_projector(init.f0) - dense_projector(refit)).max() <= 1e-10
+    assert np.all(np.diff(init.ssr_path) <= MONOTONICITY_RTOL * init.ssr_path[0])
 
 
 # --- unit_ssr --------------------------------------------------------------------

@@ -140,12 +140,15 @@ def test_parallelism_does_not_change_results():
     assert serial == parallel
 
 
-def test_worker_count_is_capped_by_replications(monkeypatch):
-    pool_sizes = []
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for ProcessPoolExecutor: record each pool's size and map in
+    this process, so no process is started."""
+    sizes = []
 
-    class RecordingPool:  # records the pool size, maps serially, starts no process
+    class RecordingPool:
         def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -157,6 +160,11 @@ def test_worker_count_is_capped_by_replications(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_worker_count_is_capped_by_replications(monkeypatch, pool_sizes):
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
     spec = Dgp1Spec(24, 24, seed=12)
     config = IpcConfig(d_max=5)
     capped = run_monte_carlo(spec, 2, config, parallelism=10**6)
@@ -164,6 +172,16 @@ def test_worker_count_is_capped_by_replications(monkeypatch):
     for parallelism in (1, 0, -1):
         assert run_monte_carlo(spec, 2, config, parallelism=parallelism) == capped
     assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+def test_worker_count_is_capped_by_cpu_count(monkeypatch, pool_sizes, cpus, pools):
+    # os.cpu_count() may return None; one CPU or an unknown count runs in process
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+    spec = Dgp1Spec(24, 24, seed=12)
+    config = IpcConfig(d_max=5)
+    assert run_monte_carlo(spec, 4, config, parallelism=64) == run_monte_carlo(spec, 4, config)
+    assert pool_sizes == pools
 
 
 def test_aggregates_are_consistent():
