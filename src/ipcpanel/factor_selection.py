@@ -17,7 +17,7 @@ from .errors import (
     InvalidEigenvaluesError,
 )
 # f_given_beta and top_sym_eigh are unused here; perfbench/selftest.py requires both bindings
-from .init_estimator import f_given_beta, unit_ssr  # noqa: F401
+from .init_estimator import f_given_beta, residual, unit_ssr  # noqa: F401
 from .model import THRESHOLD_GLOBAL, FactorGroup, IpcConfig, PanelDataset
 from .numerics import top_sym_eigh  # noqa: F401
 
@@ -183,7 +183,7 @@ def iterate_groups(
     t = dataset.n_periods
     if np.shape(spectrum[0]) != (t,):
         raise InvalidDomainError(f"need the T = {t} values of r'r/N, got {np.size(spectrum[0])}")
-    r = dataset.y - dataset.x @ np.asarray(beta0, dtype=float)
+    r = residual(dataset, beta0)
     groups: list[FactorGroup] = []
     while True:
         group = extract_group(groups, config, r, spectrum)

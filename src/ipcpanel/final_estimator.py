@@ -15,7 +15,7 @@ from .errors import (
     SingularZGramError,
 )
 from .factor_selection import iterate_groups
-from .init_estimator import InitResult, fit_initial, unit_ssr
+from .init_estimator import InitResult, fit_initial, residual, unit_ssr
 from .model import FactorGroup, IpcConfig, IpcFit, PanelDataset, validate
 from .numerics import RANK_RTOL, annihilator_apply, check_gram_rank, solve_spd, stacked_gram
 
@@ -121,7 +121,7 @@ def fit_final(
     mx = annihilator_apply(f_hat, dataset.x)
     x_gram = stacked_gram(mx, mx)
     check_gram_rank(x_gram, SingularDesignError, "projected regressors are numerically collinear")
-    g = stacked_gram(mx, (dataset.y - dataset.x @ init.beta0)[..., None])[:, 0]
+    g = stacked_gram(mx, residual(dataset, init.beta0)[..., None])[:, 0]
     beta1 = init.beta0 + np.linalg.solve(x_gram, g)
 
     z = _across_units(mx, gamma_hat)

@@ -22,7 +22,7 @@ from .errors import (
     ZeroLoadingsError,
 )
 from .final_estimator import fit_ipc, sandwich_covariance, z_matrices
-from .init_estimator import beta_given_f, unit_ssr
+from .init_estimator import beta_given_f, residual, unit_ssr
 from .model import FactorGroup, IpcFit, PanelDataset, validate
 from .numerics import RANK_RTOL, chi2_sf, solve_spd, stacked_gram
 
@@ -158,7 +158,7 @@ def wald_variants(
     """
     if variant == "beta0":
         beta, f = fit.beta0, fit.factors_initial
-        gamma = dataset.n_periods ** (-fit.config.delta) * ((dataset.y - dataset.x @ beta) @ f)
+        gamma = dataset.n_periods ** (-fit.config.delta) * (residual(dataset, beta) @ f)
     elif variant == "beta1":
         beta, f, gamma = fit.beta1, fit.factors_combined, fit.loadings_combined
     elif variant == "oracle":

@@ -49,15 +49,20 @@ class InitResult:
     spectrum: tuple[np.ndarray, np.ndarray]
 
 
+def residual(dataset: PanelDataset, beta: np.ndarray) -> np.ndarray:
+    """r = y - X beta, fresh, formed in the buffer of X beta: the one place r is formed."""
+    r = dataset.x @ np.asarray(beta, dtype=float)
+    return np.subtract(dataset.y, r, out=r)
+
+
 def unit_ssr(dataset: PanelDataset, beta: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Each unit's |M_F (y_i - X_i beta)|^2: the N column sums of (M_F r')^2.
 
     A squared norm: unlike r_i' M_F r_i it does not cancel when M_F r_i is
-    small next to r_i, and it is never negative.
+    small next to r_i, and it is never negative. M_F r' is squared in place.
     """
-    r = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
-    mr = annihilator_apply(f, r.T)
-    return np.sum(mr * mr, axis=0)
+    mr = annihilator_apply(f, residual(dataset, beta).T)
+    return np.sum(np.square(mr, out=mr), axis=0)
 
 
 def beta_given_f(dataset: PanelDataset, f: np.ndarray) -> np.ndarray:
@@ -84,7 +89,7 @@ def residual_spectrum(
     at zero and zero-padded to length ``k``. For T > 2N (``numerics.SVD_ASPECT_RATIO``)
     they come from the thin SVD of r, so no T x T matrix is formed: at most N vectors."""
     n, t = dataset.n_units, dataset.n_periods
-    r = dataset.y - dataset.x @ np.asarray(beta, dtype=float)
+    r = residual(dataset, beta)
     svd = t > SVD_ASPECT_RATIO * n
     values, vectors = top_svd_pairs(r, min(k, n)) if svd else top_sym_eigh((r.T @ r) / n, k)
     return np.pad(np.maximum(values, 0.0), (0, k - values.size)), vectors

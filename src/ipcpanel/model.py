@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     DeltaTooLargeError,
     DimensionMismatchError,
     DmaxTooLargeError,
@@ -27,8 +28,14 @@ THRESHOLD_PER_GROUP = "pergroup"
 THRESHOLD_GLOBAL = "global"
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _freeze(a: np.ndarray, name: str) -> np.ndarray:
+    """Read-only float copy; DataError naming ``name`` if complex or unconvertible."""
+    try:
+        if np.iscomplexobj(a):
+            raise DataError(f"{name} is complex; the model is real-valued")
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} does not convert to a float array: {exc}") from exc
     out.setflags(write=False)
     return out
 
@@ -46,8 +53,8 @@ class PanelDataset:
     time_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        y = _freeze(self.y)
-        x = _freeze(self.x)
+        y = _freeze(self.y, "y")
+        x = _freeze(self.x, "x")
         if y.ndim != 2:
             raise DimensionMismatchError(f"y must be N x T, got shape {y.shape}")
         if x.ndim != 3:
@@ -152,9 +159,8 @@ class FactorGroup:
     loadings: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _freeze(self.eigenvalues))
-        object.__setattr__(self, "factors", _freeze(self.factors))
-        object.__setattr__(self, "loadings", _freeze(self.loadings))
+        for name in ("eigenvalues", "factors", "loadings"):
+            object.__setattr__(self, name, _freeze(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -182,7 +188,7 @@ class IpcFit:
         for name in ("beta0", "beta1", "beta", "covariance", "factors_combined",
                      "loadings_combined", "sigma2_by_unit",
                      "factors_initial"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            object.__setattr__(self, name, _freeze(getattr(self, name), name))
         object.__setattr__(self, "groups", tuple(self.groups))
 
     @property
@@ -208,9 +214,8 @@ class TruthSpec:
     group_dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_true", _freeze(self.beta_true))
-        object.__setattr__(self, "factors_true", _freeze(self.factors_true))
-        object.__setattr__(self, "loadings_true", _freeze(self.loadings_true))
+        for name in ("beta_true", "factors_true", "loadings_true"):
+            object.__setattr__(self, name, _freeze(getattr(self, name), name))
         object.__setattr__(self, "group_dims", tuple(int(d) for d in self.group_dims))
         if sum(self.group_dims) != self.factors_true.shape[1]:
             raise DimensionMismatchError(
@@ -222,7 +227,8 @@ def validate_dataset(dataset: PanelDataset) -> None:
     """Check the dataset invariants alone.
 
     Raises the first violation found: DimensionMismatchError,
-    NonFiniteDataError, or TimeInvariantRegressorError.
+    NonFiniteDataError, or TimeInvariantRegressorError for the row-major
+    first (unit, regressor) whose x has max == min over time.
     """
     n, t, dx = dataset.n_units, dataset.n_periods, dataset.n_regressors
     if n < 2 or t < 2 or dx < 1:
@@ -233,9 +239,10 @@ def validate_dataset(dataset: PanelDataset) -> None:
         raise NonFiniteDataError("y contains non-finite entries")
     if not np.all(np.isfinite(dataset.x)):
         raise NonFiniteDataError("x contains non-finite entries")
-    # exact-constant check: a regressor with no time variation for some unit;
-    # comparing the extremes cannot overflow as their difference can
-    flat = np.argwhere(dataset.x.max(axis=1) == dataset.x.min(axis=1))  # N x d_x
+    # exact-constant check: comparing the extremes cannot overflow as their difference can;
+    # reducing each N x T view x[:, :, j] along T beats the strided middle axis, with no copy
+    views = np.moveaxis(dataset.x, 2, 0)
+    flat = np.argwhere(np.stack([v.max(axis=1) == v.min(axis=1) for v in views], axis=1))
     if flat.size:
         i, j = int(flat[0, 0]), int(flat[0, 1])
         raise TimeInvariantRegressorError(i, j, label=dataset.unit_labels[i])

@@ -128,7 +128,8 @@ def annihilator_apply(f: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``f`` is T x k of full column rank (k = 0 copies ``v``); ``v`` is length T,
     T x n, or an N x T x d stack that matmul broadcasts over without moving
-    an axis. Rank is judged by :func:`check_gram_rank`.
+    an axis. Rank is judged by :func:`check_gram_rank`. The result is fresh and
+    C-ordered, written into the buffer of F(F'F)^{-1}F'v; ``v`` is never written.
     """
     f = np.asarray(f, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -142,7 +143,8 @@ def annihilator_apply(f: np.ndarray, v: np.ndarray) -> np.ndarray:
         )
     gram = f.T @ f
     check_gram_rank(gram, RankDeficientError, "factor matrix is numerically rank deficient")
-    return v - f @ (np.linalg.solve(gram, f.T) @ v)
+    out = f @ (np.linalg.solve(gram, f.T) @ v)
+    return np.subtract(v, out, out=out)
 
 
 def stacked_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:

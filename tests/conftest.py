@@ -9,6 +9,7 @@ time contending than computing. A value already set in the environment wins.
 """
 
 import os
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -26,6 +27,10 @@ from ipcpanel.factor_selection import (  # noqa: E402
 )
 from ipcpanel.init_estimator import f_given_beta, residual_spectrum  # noqa: E402
 from ipcpanel.model import THRESHOLD_GLOBAL, FactorGroup, PanelDataset  # noqa: E402
+from ipcpanel.simulation import Dgp1Spec, generate_dgp1  # noqa: E402
+
+#: allocation budgets may be exceeded by this much (numpy and interpreter bookkeeping)
+ALLOC_SLACK = 64 * 1024
 
 
 def dense_annihilator(f: np.ndarray) -> np.ndarray:
@@ -152,3 +157,24 @@ def random_panel(seed, n=6, t=7, d_x=2, n_factors=1, noise=0.5):
 def tiny_panel():
     dataset, *_ = random_panel(11)
     return dataset
+
+
+@pytest.fixture(scope="session")
+def wide_panel():
+    """A 2000 x 40 DGP1 panel, the N >> T shape whose temporaries page-fault."""
+    return generate_dgp1(Dgp1Spec(n_units=2000, n_periods=40, seed=100))[0]
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees while ``fn(*args)`` runs, result included.
+
+    One untraced call first, so lazy set-up is not counted. Unlike a timing,
+    the peak repeats exactly from run to run.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

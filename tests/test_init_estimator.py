@@ -9,17 +9,20 @@ from ipcpanel.init_estimator import (
     beta_given_f,
     f_given_beta,
     fit_initial,
+    residual,
     unit_ssr,
 )
 from ipcpanel.model import IpcConfig, PanelDataset
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
 from conftest import (
+    ALLOC_SLACK,
     dense_annihilator,
     dense_projector,
     dense_top_eigenpairs,
     random_panel,
     record_calls,
+    traced_peak,
 )
 
 
@@ -222,7 +225,26 @@ def test_handed_off_spectrum_matches_dense_oracle(monkeypatch, n, t, stop):
     assert np.all(np.diff(init.ssr_path) <= MONOTONICITY_RTOL * init.ssr_path[0])
 
 
-# --- unit_ssr --------------------------------------------------------------------
+# --- residual and unit_ssr -------------------------------------------------------
+
+def test_residual_matches_the_inline_form_bitwise(tiny_panel, wide_panel):
+    beta = np.array([0.7, -1.3])
+    for ds in (tiny_panel, wide_panel):
+        r = residual(ds, beta)
+        assert np.array_equal(r, ds.y - ds.x @ beta)
+        assert r.flags.writeable and not np.shares_memory(r, ds.y)
+
+
+def test_residual_and_unit_ssr_allocation_budgets(wide_panel):
+    # r is one N x T panel; unit_ssr adds M_F r' and the k x N block (F'F)^{-1}F'r',
+    # squared in place (the parent held a third panel for mr * mr)
+    n, t = wide_panel.y.shape
+    beta = np.array([0.7, -1.3])
+    f = np.random.default_rng(4).normal(size=(t, 10))
+    panel = wide_panel.y.nbytes
+    assert traced_peak(residual, wide_panel, beta) <= panel + ALLOC_SLACK
+    assert traced_peak(unit_ssr, wide_panel, beta, f) <= 2 * panel + f.shape[1] * n * 8 + ALLOC_SLACK
+
 
 def test_als_objective_cannot_cancel():
     # at the truth of a noiseless panel M_F r_i is rounding error next to r_i;

@@ -1,9 +1,11 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from ipcpanel.errors import (
+    DataError,
     DeltaTooLargeError,
     DimensionMismatchError,
     DmaxTooLargeError,
@@ -14,7 +16,7 @@ from ipcpanel.final_estimator import fit_ipc
 from ipcpanel.model import IpcConfig, PanelDataset, TruthSpec, validate, validate_dataset
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1
 
-from conftest import random_panel
+from conftest import random_panel, traced_peak
 
 
 def well_formed(n=40, t=40, d_x=2, seed=0):
@@ -26,29 +28,80 @@ def test_well_formed_panel_validates():
     validate(well_formed(), IpcConfig())
 
 
+#: every d_x and memory layout the time-invariance check must read alike
+LAYOUT_CASES = list(itertools.product((1, 2, 3), ("C", "F", "sliced")))
+
+
+def laid_out(x, layout):
+    """``x`` as is (C order), in Fortran order, or as a strided view into a larger array."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "sliced":
+        big = np.zeros((x.shape[0], 2 * x.shape[1], x.shape[2] + 1))
+        big[:, ::2, 1:] = x
+        return big[:, ::2, 1:]
+    return x
+
+
 def test_time_invariant_regressor_reports_unit_and_regressor():
-    ds = well_formed(seed=1)
-    x = np.array(ds.x)
-    x[2, :, 0] = 5.0  # regressor 0 constant for unit 2
-    bad = PanelDataset(y=ds.y, x=x)
-    with pytest.raises(TimeInvariantRegressorError) as err:
-        validate(bad, IpcConfig())
-    assert err.value.unit == 2
-    assert err.value.regressor == 0
+    # several flat (unit, regressor) cells: the row-major first is reported, and
+    # a mix of 0.0 and -0.0 is constant
+    for d_x, layout in LAYOUT_CASES:
+        ds = well_formed(d_x=d_x, seed=1)
+        x = np.array(ds.x)
+        planted = [(9, 0), (5, 0), (2, d_x - 1)] + [(2, 1)] * (d_x == 3)
+        for i, j in planted:
+            x[i, :, j] = 5.0
+        i, j = min(planted)
+        x[i, ::2, j], x[i, 1::2, j] = 0.0, -0.0
+        bad = PanelDataset(y=ds.y, x=laid_out(x, layout))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TimeInvariantRegressorError) as err:
+                validate(bad, IpcConfig())
+        assert (err.value.unit, err.value.regressor) == (i, j), (d_x, layout)
 
 
 def test_regressor_spanning_the_float_range_validates_without_warning():
-    ds = well_formed(seed=3)
-    x = np.array(ds.x)
-    x[0, ::2, 1], x[0, 1::2, 1] = -1e308, 1e308  # max - min overflows
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        validate_dataset(PanelDataset(y=ds.y, x=x))
-        x[3, :, 1] = 1e308
-        x[5, :, 0] = -2.5
-        with pytest.raises(TimeInvariantRegressorError) as err:
-            validate_dataset(PanelDataset(y=ds.y, x=x))
-    assert (err.value.unit, err.value.regressor) == (3, 1)
+    for d_x, layout in LAYOUT_CASES:
+        ds = well_formed(d_x=d_x, seed=3)
+        x = np.array(ds.x)
+        x[0, ::2, -1], x[0, 1::2, -1] = -1e308, 1e308  # max - min overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate_dataset(PanelDataset(y=ds.y, x=laid_out(x, layout)))
+            x[3, :, -1] = 1e308
+            x[5, :, 0] = -2.5
+            with pytest.raises(TimeInvariantRegressorError) as err:
+                validate_dataset(PanelDataset(y=ds.y, x=laid_out(x, layout)))
+        assert (err.value.unit, err.value.regressor) == (3, d_x - 1), (d_x, layout)
+
+
+def test_time_invariance_check_copies_no_stack(wide_panel):
+    # each N x T view is reduced where it lies; a transposed copy would cost a whole stack
+    assert traced_peak(validate_dataset, wide_panel) <= 0.5 * wide_panel.x.nbytes
+
+
+@pytest.mark.parametrize("field", ["y", "x"])
+def test_non_real_input_is_a_data_error(field):
+    # complex input used to warn and drop its imaginary part; strings and
+    # ragged nesting raised a bare ValueError
+    ds = well_formed(n=4, t=5)
+    good = {"y": ds.y, "x": ds.x}
+    bad = {
+        "complex": good[field] + 1j,
+        "string": np.full(good[field].shape, "abc"),
+        "ragged": [a.tolist() for a in good[field][:-1]] + [good[field][-1, :-1].tolist()],
+    }
+    for case, value in bad.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{field} ") as err:
+                PanelDataset(**{**good, field: value})
+        assert type(err.value) is DataError, case
+    # input that converts to finite floats is taken as before
+    same = PanelDataset(**{**good, field: good[field].tolist()})
+    assert np.array_equal(getattr(same, field), good[field])
 
 
 def test_dmax_bound():

@@ -11,6 +11,7 @@ from ipcpanel.errors import (
     NonSymmetricError,
     RankDeficientError,
 )
+from ipcpanel.model import PanelDataset
 from ipcpanel.numerics import (
     annihilator_apply,
     chi2_sf,
@@ -19,7 +20,7 @@ from ipcpanel.numerics import (
     top_sym_eigh,
 )
 
-from conftest import dense_annihilator
+from conftest import ALLOC_SLACK, dense_annihilator, traced_peak
 
 
 def random_symmetric(seed, m=4, scale=1.0):
@@ -221,6 +222,15 @@ def test_annihilator_apply_matches_dense_oracle(k):
     assert np.allclose(annihilator_apply(f, x), np.stack([m @ xi for xi in x]), atol=1e-12)
     assert np.allclose(annihilator_apply(f, r.T), m @ r.T, atol=1e-12)
     assert np.allclose(annihilator_apply(f, u), m @ u, atol=1e-12)
+    # bitwise the one-expression form, into a fresh writeable array; v, even the
+    # read-only dataset.x, is never written
+    ds = PanelDataset(y=r, x=x)
+    for v in (v, x, r.T, u, ds.x):
+        before = v.copy()
+        out = annihilator_apply(f, v)
+        assert np.array_equal(out, v - f @ (np.linalg.solve(f.T @ f, f.T) @ v))
+        assert out.flags.writeable and not np.shares_memory(out, v)
+        assert np.array_equal(v, before)
 
 
 @pytest.mark.parametrize("shape", [(5, 8, 2), (8,), ()], ids=["stack", "vector", "scalar"])
@@ -229,6 +239,15 @@ def test_row_mismatch_rejected(shape):
     f = np.random.default_rng(1).normal(size=(9, 2))
     with pytest.raises(RankDeficientError):
         annihilator_apply(f, np.ones(shape))
+
+
+def test_projection_allocates_its_output_and_coefficients_only(wide_panel):
+    # M_F X at 2000 x 40 x 2 needs the output stack and the N x k x d_x block
+    # (F'F)^{-1}F'X; the parent made a second whole stack for v - F(...)
+    x = wide_panel.x
+    f = np.random.default_rng(3).normal(size=(x.shape[1], 10))
+    budget = x.nbytes + x.shape[0] * f.shape[1] * x.shape[2] * 8
+    assert traced_peak(annihilator_apply, f, x) <= budget + ALLOC_SLACK
 
 
 def test_projected_stack_is_contiguous():
