@@ -28,10 +28,10 @@ SYMMETRY_RTOL = 1e-10
 
 #: an N x T residual panel with T > SVD_ASPECT_RATIO * N takes the eigenpairs
 #: of u'u/N from :func:`top_svd_pairs` instead of eigensolving the T x T matrix.
-#: Top 11 pairs on a 2-vCPU Xeon VM, OpenBLAS on one thread, best of 7
-#: (primal eigh vs thin SVD): 160 x 200 1.8 vs 2.9 ms, 160 x 320 4.4 vs
-#: 4.6 ms, 100 x 400 6.5 vs 2.3 ms, 40 x 1000 62 vs 1.2 ms; the SVD wins
-#: once T exceeds about 2N.
+#: Top 11 pairs of a random u on a 2-vCPU Xeon VM, OpenBLAS on one thread,
+#: median of 31 (eigh of u'u/N, GEMM included, vs svd(u')): 160 x 200 2.7 vs
+#: 4.2 ms, 100 x 200 2.8 vs 2.7 ms, 160 x 320 7.0 vs 7.1 ms, 100 x 300 5.5 vs
+#: 2.9 ms, 40 x 1000 97 vs 1.6 ms; the SVD wins once T exceeds about 2N.
 SVD_ASPECT_RATIO = 2
 
 
@@ -108,8 +108,9 @@ def top_svd_pairs(u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n, t = u.shape
     if k < 0 or k > min(n, t):
         raise InvalidDomainError(f"k={k} outside [0, {min(n, t)}]")
-    _, s, vt = scipy.linalg.svd(u, full_matrices=False, check_finite=False)
-    return s[:k] ** 2 / n, _fix_signs(vt[:k].T)
+    # gesdd takes its QR-first tall path on u' (T x N), not on the wide u
+    v, s, _ = scipy.linalg.svd(u.T, full_matrices=False, check_finite=False)
+    return s[:k] ** 2 / n, _fix_signs(v[:, :k])
 
 
 def check_gram_rank(gram: np.ndarray, error: type[Exception], message: str) -> None:
@@ -119,7 +120,7 @@ def check_gram_rank(gram: np.ndarray, error: type[Exception], message: str) -> N
     exceed ``RANK_RTOL`` times the largest, which must be positive.
     """
     eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= RANK_RTOL * eig[-1] or eig[-1] <= 0:
+    if not (eig[0] > RANK_RTOL * eig[-1] and eig[-1] > 0):  # a NaN Gram fails
         raise error(message)
 
 
@@ -130,6 +131,9 @@ def annihilator_apply(f: np.ndarray, v: np.ndarray) -> np.ndarray:
     T x n, or an N x T x d stack that matmul broadcasts over without moving
     an axis. Rank is judged by :func:`check_gram_rank`. The result is fresh and
     C-ordered, written into the buffer of F(F'F)^{-1}F'v; ``v`` is never written.
+    The k x k inverse is applied to F' because a solve with T right-hand sides
+    is ~10x slower in OpenBLAS at T = 1000, and no more accurate: both start
+    from F'F, whose condition the rank check caps at 1e12.
     """
     f = np.asarray(f, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -143,7 +147,7 @@ def annihilator_apply(f: np.ndarray, v: np.ndarray) -> np.ndarray:
         )
     gram = f.T @ f
     check_gram_rank(gram, RankDeficientError, "factor matrix is numerically rank deficient")
-    out = f @ (np.linalg.solve(gram, f.T) @ v)
+    out = f @ ((np.linalg.inv(gram) @ f.T) @ v)
     return np.subtract(v, out, out=out)
 
 
@@ -155,10 +159,13 @@ def stacked_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_spd(a: np.ndarray, b: np.ndarray, error: type[Exception]) -> np.ndarray:
     """Solve a x = b for symmetric positive-definite ``a``.
 
-    Raises ``error`` when :func:`check_gram_rank` finds ``a`` singular.
+    Raises ``error`` when :func:`check_gram_rank` finds ``a`` singular, and
+    :class:`NonFiniteError` for a ``b`` holding NaN or infinity.
     """
     a = np.asarray(a, dtype=float)
     check_gram_rank(a, error, "matrix is numerically singular")
+    if not np.all(np.isfinite(b)):
+        raise NonFiniteError("right-hand side contains non-finite entries")
     c, low = scipy.linalg.cho_factor(a)
     return scipy.linalg.cho_solve((c, low), b)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipcpanel import final_estimator, init_estimator, numerics
-from ipcpanel.errors import RankDeficientError, SingularLoadingsError, SingularZGramError
+from ipcpanel.errors import (
+    IpcError,
+    RankDeficientError,
+    SingularLoadingsError,
+    SingularZGramError,
+)
 from ipcpanel.final_estimator import (
     fit_final,
     fit_ipc,
@@ -259,6 +265,21 @@ def test_z_of_rounding_error_is_rejected():
     ds, _ = generate_dgp1(Dgp1Spec(6, 60, seed=5))
     with pytest.raises(SingularZGramError):
         fit_ipc(ds, IpcConfig(d_max=5))
+
+
+@pytest.mark.parametrize(
+    "n, t, scale",
+    [(60, 60, 1e-160), (160, 160, 1e-160), (40, 1000, 1e150)],
+    ids=["60x60-tiny", "160x160-tiny", "40x1000-huge"],
+)
+def test_gram_overflow_or_underflow_is_a_typed_error(n, t, scale):
+    # a tiny y underflows a Gram to NaN, a huge one overflows the sandwich's
+    # middle term; both used to reach scipy's bare ValueError
+    ds, _ = generate_dgp1(Dgp1Spec(n, t, seed=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(IpcError):
+            fit_ipc(PanelDataset(y=scale * ds.y, x=ds.x), IpcConfig())
 
 
 def test_wide_panel_recovers_the_slope():

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -611,6 +612,20 @@ def test_z_of_rounding_error_is_a_numerical_failure(tmp_path, capsys):
     ])
     assert code == 3
     assert "Z Gram matrix is numerically singular" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_gram_underflow_is_a_numerical_failure(tmp_path, capsys):
+    ds, _ = generate_dgp1(Dgp1Spec(60, 60, seed=5))
+    path = tmp_path / "panel.csv"
+    dataset_to_csv(path, PanelDataset(y=1e-160 * ds.y, x=ds.x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli_main([
+            "estimate", "--data", str(path), "--x-cols", "x1,x2", "--out", str(tmp_path / "fit"),
+        ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
     assert not (tmp_path / "fit").exists()
 
 

@@ -123,24 +123,36 @@ def test_rejects_asymmetric_and_nonfinite():
 
 # --- top_svd_pairs ------------------------------------------------------------
 
+def layouts(u):
+    """``u`` as C-ordered, F-ordered and a sliced, non-contiguous view."""
+    strided = np.zeros((u.shape[0], 2 * u.shape[1]))
+    strided[:, ::2] = u
+    return u, np.asfortranarray(u), strided[:, ::2]
+
+
 @pytest.mark.parametrize("rank", [None, 2])
 def test_top_svd_pairs_match_primal_eigh(rank):
+    # shapes and layouts loop inside the test, one id per rank
     rng = np.random.default_rng(21)
-    n, t, k = 8, 30, 5
-    u = rng.normal(size=(n, t))
-    if rank is not None:
-        u = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, t))
-    values, vectors = top_svd_pairs(u, k)
-    want_values = np.linalg.eigvalsh(u.T @ u / n)[::-1][:k]
-    assert np.allclose(values, want_values, rtol=0.0, atol=1e-10 * want_values[0])
-    assert np.allclose(vectors.T @ vectors, np.eye(k), atol=1e-12)
-    idx = np.argmax(np.abs(vectors), axis=0)
-    assert np.all(vectors[idx, np.arange(k)] > 0)
-    # distinct nonzero eigenvalues pin their vectors, which then carry the
-    # same signs as top_sym_eigh's
-    pinned = rank or k
-    _, primal = top_sym_eigh(u.T @ u / n, k)
-    assert np.allclose(vectors[:, :pinned], primal[:, :pinned], atol=1e-8)
+    k = 5
+    for n, t in ((8, 30), (40, 1000)):
+        u = rng.normal(size=(n, t))
+        if rank is not None:
+            u = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, t))
+        want_values = np.linalg.eigvalsh(u.T @ u / n)[::-1][:k]
+        # distinct nonzero eigenvalues pin their vectors, which then carry the
+        # same signs as top_sym_eigh's
+        pinned = rank or k
+        _, primal = top_sym_eigh(u.T @ u / n, k)
+        for view in layouts(u):
+            before = view.copy()
+            values, vectors = top_svd_pairs(view, k)
+            assert np.array_equal(view, before)
+            assert np.allclose(values, want_values, rtol=0.0, atol=1e-10 * want_values[0])
+            assert np.allclose(vectors.T @ vectors, np.eye(k), atol=1e-12)
+            idx = np.argmax(np.abs(vectors), axis=0)
+            assert np.all(vectors[idx, np.arange(k)] > 0)
+            assert np.allclose(vectors[:, :pinned], primal[:, :pinned], atol=1e-8)
 
 
 def test_top_svd_pairs_rejects_nonfinite_and_out_of_range_k():
@@ -228,9 +240,24 @@ def test_annihilator_apply_matches_dense_oracle(k):
     for v in (v, x, r.T, u, ds.x):
         before = v.copy()
         out = annihilator_apply(f, v)
-        assert np.array_equal(out, v - f @ (np.linalg.solve(f.T @ f, f.T) @ v))
+        assert np.array_equal(out, v - f @ ((np.linalg.inv(f.T @ f) @ f.T) @ v))
         assert out.flags.writeable and not np.shares_memory(out, v)
         assert np.array_equal(v, before)
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e8])
+def test_annihilator_apply_error_grows_with_the_gram_condition_only(cond):
+    # F = Q S W' with orthonormal Q (T x k) from a QR, so M_F = I - QQ' exactly;
+    # cond(F'F) = (s_max / s_min)^2, and the rank check allows up to 1e12
+    rng = np.random.default_rng(int(np.log10(cond)))
+    t, k = 200, 5
+    for _ in range(5):
+        q, _ = np.linalg.qr(rng.normal(size=(t, k)))
+        w, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        f = (q * np.geomspace(1.0, cond ** -0.5, k)) @ w.T
+        v = rng.normal(size=(t, 3))
+        err = np.abs(annihilator_apply(f, v) - (v - q @ (q.T @ v))).max()
+        assert err <= 10 * np.finfo(float).eps * cond * np.abs(v).max()
 
 
 @pytest.mark.parametrize("shape", [(5, 8, 2), (8,), ()], ids=["stack", "vector", "scalar"])
