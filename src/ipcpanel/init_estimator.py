@@ -8,9 +8,10 @@ the recorded objective path is nonincreasing up to floating-point slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .errors import MonotonicityError, SingularDesignError
 from .model import IpcConfig, PanelDataset
@@ -23,7 +24,12 @@ from .numerics import (
     top_sym_eigh,
 )
 
-#: absolute slack, relative to the starting objective, allowed per iteration
+#: absolute slack allowed per iteration: this times the starting objective or,
+#: when the panel is explained exactly and that objective is itself rounding,
+#: times eps * sum(y**2). Such a fit's objective is the squared norm of a
+#: rounding-level vector: over 20 draws each of y = x[..., 0] at 12 x 300,
+#: 30 x 60 and 40 x 40 its steps rose by at most 1.5e-14 * eps * sum(y**2),
+#: ~1e-4 of the floor. A DGP1 fit starts ~1e13 times above the floor.
 MONOTONICITY_RTOL = 1e-10
 #: stop once the relative change in the sum of squared residuals is below this
 ALS_TOL = 1e-8
@@ -34,6 +40,16 @@ ALS_TOL = 1e-8
 ALS_COEF_TOL = 1e-2
 #: iteration cap; a capped minimization returns with ``converged=False``
 ALS_MAX_ITER = 1000
+#: a panel with T > COMPRESS_ASPECT_RATIO * m, m = (1 + d_x) N, alternates on its
+#: N x m coordinate panel (:func:`_compress_time`). ``fit_initial`` in ms, never
+#: vs always compressed, DGP1 with d_x = 2, T/m in brackets, median of 15 on a
+#: 2-vCPU VM with OpenBLAS on one thread: 40 x 160 (1.33) 7.9 vs 9.1,
+#: 40 x 200 (1.67) 9.4 vs 9.5, 40 x 240 (2.0) 9.9 vs 9.3, 40 x 300 (2.5) 12.8
+#: vs 11.0, 40 x 600 (5) 17.0 vs 11.3, 40 x 1000 (8.3) 26.8 vs 13.9, 20 x 80
+#: (1.33) 7.2 vs 7.7, 20 x 300 (5) 7.7 vs 6.3, 100 x 400 (1.33) 34.4 vs 33.0,
+#: 100 x 1000 (3.3) 68.1 vs 44.9. The QR pays for itself from about 2m on;
+#: below that it loses or wins by no more than the host's noise.
+COMPRESS_ASPECT_RATIO = 2
 
 
 @dataclass(frozen=True)
@@ -106,30 +122,48 @@ def f_given_beta(
     return dataset.n_periods ** (delta / 2.0) * residual_spectrum(dataset, beta, k)[1]
 
 
-def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
-    """Alternate the two closed-form updates, starting from pooled OLS,
-    until the objective or the slope settles (``ALS_TOL``, ``ALS_COEF_TOL``)
-    or ``ALS_MAX_ITER`` iterations have run. One eigensolve per iteration: the
-    slope test runs first, so the step that settles the slope takes the whole
-    spectrum at ``beta0`` (the other stops take it once more, at the end).
+def _compress_time(dataset: PanelDataset) -> PanelDataset:
+    """The panel in an orthonormal basis Q of the span of its m = (1 + d_x) N series.
 
-    Hitting the cap is not an error: the result comes back with
-    ``converged=False``.
+    Takes only R of W = QR, where W is T x m and holds each unit's y_i and
+    then its d_x regressor series. The coordinate panel is R' read back in
+    that order, N x m for y and N x m x d_x for x: y~_i = Q'y_i, x~_ij = Q'x_ij.
+    Every residual and regressor lies in col(Q), so the objective, the
+    projections and the slope of the alternating minimization are the same
+    on it, for factors F~ = Q'F. A rank-deficient W is fine: Q still has
+    orthonormal columns. W is a fresh Fortran-ordered array, so LAPACK
+    factors it in place; scipy copies a transposed view first.
     """
+    n, t, d_x = dataset.n_units, dataset.n_periods, dataset.n_regressors
+    w = np.empty((t, (1 + d_x) * n), order="F")
+    series = w.T.reshape(n, 1 + d_x, t)
+    series[:, 0] = dataset.y
+    series[:, 1:] = dataset.x.transpose(0, 2, 1)
+    r = scipy.linalg.qr(w, overwrite_a=True, mode="raw", check_finite=False)[1]
+    coords = r.T.reshape(n, 1 + d_x, -1)
+    return PanelDataset(y=coords[:, 0], x=coords[:, 1:].transpose(0, 2, 1))
+
+
+def _alternate(dataset: PanelDataset, config: IpcConfig, settle_k: int) -> InitResult:
+    """The alternating minimization on ``dataset``. The step that settles the
+    slope takes ``settle_k`` eigenpairs, every other step ``d_max``; the
+    result's ``spectrum`` is the last one taken (None if no step ran)."""
     t, d_max = dataset.n_periods, config.d_max
     beta = beta_given_f(dataset, np.zeros((t, 0)))
     f = f_given_beta(dataset, beta, d_max, config.delta)
     path = [float(unit_ssr(dataset, beta, f).sum())]
+    eps_energy = np.finfo(float).eps * float(np.vdot(dataset.y, dataset.y))
+    slack = MONOTONICITY_RTOL * max(path[0], eps_energy)
     spectrum = None
     converged = False
     iterations = 0
     for iterations in range(1, ALS_MAX_ITER + 1):
         beta_new = beta_given_f(dataset, f)
         d_coef = np.linalg.norm(beta_new - beta) / max(np.linalg.norm(beta), 1e-300)
-        spectrum = residual_spectrum(dataset, beta_new, t if d_coef < ALS_COEF_TOL else d_max)
+        spectrum = residual_spectrum(dataset, beta_new, settle_k if d_coef < ALS_COEF_TOL else d_max)
         f = t ** (config.delta / 2.0) * spectrum[1][:, :d_max]
         path.append(float(unit_ssr(dataset, beta_new, f).sum()))
-        if path[-1] > path[-2] + MONOTONICITY_RTOL * path[0]:
+        if path[-1] > path[-2] + slack:
             raise MonotonicityError(
                 f"objective rose from {path[-2]!r} to {path[-1]!r} at iteration {iterations}"
             )
@@ -138,8 +172,6 @@ def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
         if d_ssr < ALS_TOL or d_coef < ALS_COEF_TOL:
             converged = True
             break
-    if spectrum is None or spectrum[0].size < t:
-        spectrum = residual_spectrum(dataset, beta, t)
     return InitResult(
         beta0=beta,
         f0=f,
@@ -148,3 +180,37 @@ def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
         converged=converged,
         spectrum=spectrum,
     )
+
+
+def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
+    """Alternate the two closed-form updates, starting from pooled OLS,
+    until the objective or the slope settles (``ALS_TOL``, ``ALS_COEF_TOL``)
+    or ``ALS_MAX_ITER`` iterations have run. One eigensolve per iteration: the
+    slope test runs first, so the step that settles the slope takes the whole
+    spectrum at ``beta0`` (the other stops take it once more, at the end).
+
+    A long panel, T > ``COMPRESS_ASPECT_RATIO`` * m with m = (1 + d_x) N,
+    alternates on its N x m coordinate panel from one QR
+    (:func:`_compress_time`) instead of on T-long vectors. That is exact in
+    exact arithmetic: Q has orthonormal columns and holds every r_i and X_i,
+    the optimal F lies in col(r') and so in col(Q), hence |M_F r_i|^2,
+    sum X_i'M_F X_i and sum X_i'M_F y_i equal their compressed forms, and
+    only the span of F matters, not its m^{delta/2} scale. The slopes,
+    objective path and iteration count are the loop's own; the spectrum at
+    ``beta0`` is then taken once on the full panel, and ``f0`` is
+    T^{delta/2} times its top ``d_max`` vectors.
+
+    Hitting the cap is not an error: the result comes back with
+    ``converged=False``.
+    """
+    n, t, d_x = dataset.n_units, dataset.n_periods, dataset.n_regressors
+    compress = t > COMPRESS_ASPECT_RATIO * (1 + d_x) * n
+    if compress:
+        init = _alternate(_compress_time(dataset), config, config.d_max)
+    else:
+        init = _alternate(dataset, config, t)
+    if init.spectrum is not None and init.spectrum[0].size == t:
+        return init
+    spectrum = residual_spectrum(dataset, init.beta0, t)
+    f0 = t ** (config.delta / 2.0) * spectrum[1][:, : config.d_max] if compress else init.f0
+    return replace(init, f0=f0, spectrum=spectrum)

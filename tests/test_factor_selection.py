@@ -256,11 +256,14 @@ def test_groups_match_deflation_oracle(name, rule):
 
 def test_exactly_explained_long_panel_fits():
     # no noise: the residual after one factor is zero up to rounding, so the
-    # SVD route meets a rank-deficient residual
-    ds, *_ = random_panel(10, n=12, t=60, n_factors=1, noise=0.0)
-    fit = fit_ipc(ds, IpcConfig(d_max=3))
-    assert [g.dim for g in fit.groups] == [1]
-    assert np.all(np.isfinite(fit.beta))
+    # SVD route meets a rank-deficient residual. At 12x300 step 1 also
+    # compresses the time axis, and W, which holds every y_i and x_ij, has
+    # rank N d_x + 1 < 3N
+    for t in (60, 300):
+        ds, *_ = random_panel(10, n=12, t=t, n_factors=1, noise=0.0)
+        fit = fit_ipc(ds, IpcConfig(d_max=3))
+        assert [g.dim for g in fit.groups] == [1]
+        assert np.all(np.isfinite(fit.beta))
 
 
 # --- iterate_groups ----------------------------------------------------------------

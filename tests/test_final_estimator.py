@@ -169,11 +169,20 @@ def test_end_to_end_delta_invariance():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 10_000), st.sampled_from(["units", "periods"]))
-def test_permutation_invariance(seed, perm_seed, axis):
+@given(
+    st.integers(0, 10_000),
+    st.integers(0, 10_000),
+    st.sampled_from(["units", "periods"]),
+    st.sampled_from([(24, 26, 6), (8, 60, 3)]),
+)
+def test_permutation_invariance(seed, perm_seed, axis, shape):
     # units and periods are exchangeable in every step: a reordered panel
-    # selects the same dimensions and the same slope up to rounding
-    ds, _ = generate_dgp1(Dgp1Spec(24, 26, seed=seed))
+    # selects the same dimensions and the same slope up to rounding. 8x60
+    # has T > 2 * 3N, so step 1 runs on the QR-compressed panel: a unit
+    # permutation reorders the columns that QR factors, a period permutation
+    # its rows
+    n, t, d_max = shape
+    ds, _ = generate_dgp1(Dgp1Spec(n, t, seed=seed))
     rng = np.random.default_rng(perm_seed)
     if axis == "units":
         order = rng.permutation(ds.n_units)
@@ -181,7 +190,7 @@ def test_permutation_invariance(seed, perm_seed, axis):
     else:
         order = rng.permutation(ds.n_periods)
         permuted = PanelDataset(y=ds.y[:, order], x=ds.x[:, order])
-    config = IpcConfig(d_max=6)
+    config = IpcConfig(d_max=d_max)
     fit, fit_p = fit_ipc(ds, config), fit_ipc(permuted, config)
     assert [g.dim for g in fit_p.groups] == [g.dim for g in fit.groups]
     assert np.abs(fit_p.beta - fit.beta).max() <= 1e-10 * np.abs(fit.beta).max()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ipcpanel import init_estimator
-from ipcpanel.errors import SingularDesignError
+from ipcpanel.errors import SingularDesignError, SingularZGramError
 from ipcpanel.final_estimator import fit_ipc
 from ipcpanel.init_estimator import (
     MONOTONICITY_RTOL,
@@ -197,11 +197,23 @@ STOPS = {
 }
 
 
+#: eigensolves beyond one per iteration, by shape and stop: the start's, plus
+#: one more at beta0 unless the settling step took the whole spectrum. 20x300
+#: is compressed (T > 2 * 3N): its loop takes d_max pairs of the 20 x 60
+#: coordinate panel at every step, so every stop takes the spectrum once more
+EXTRA_EIGENSOLVES = {
+    "40x40": {"slope": 1, "objective": 2, "cap": 2},
+    "20x60": {"slope": 1, "objective": 2, "cap": 2},
+    "20x300": {"slope": 2, "objective": 2, "cap": 2},
+}
+
+
 @pytest.mark.parametrize("stop", list(STOPS))
-@pytest.mark.parametrize("n, t", [(40, 40), (20, 60)], ids=["40x40", "20x60"])
+@pytest.mark.parametrize("n, t", [(40, 40), (20, 60), (20, 300)], ids=list(EXTRA_EIGENSOLVES))
 def test_handed_off_spectrum_matches_dense_oracle(monkeypatch, n, t, stop):
     # the slope stop's last eigensolve is the whole spectrum; after the other
-    # two stops it is taken once more at beta0. 20x60 takes the SVD route
+    # two stops it is taken once more at beta0. 20x60 and 20x300 take the SVD
+    # route
     for name, value in STOPS[stop].items():
         monkeypatch.setattr(init_estimator, name, value)
     logs = [record_calls(monkeypatch, name, init_estimator)
@@ -212,7 +224,7 @@ def test_handed_off_spectrum_matches_dense_oracle(monkeypatch, n, t, stop):
     assert init.converged == (stop != "cap")
     if stop == "cap":
         assert init.iterations == 2
-    assert sum(map(len, logs)) == init.iterations + (1 if stop == "slope" else 2)
+    assert sum(map(len, logs)) == init.iterations + EXTRA_EIGENSOLVES[f"{n}x{t}"][stop]
 
     values, vectors = init.spectrum
     want_values, want_vectors = dense_top_eigenpairs(ds.y - ds.x @ init.beta0, t)
@@ -223,6 +235,79 @@ def test_handed_off_spectrum_matches_dense_oracle(monkeypatch, n, t, stop):
     refit = f_given_beta(ds, init.beta0, config.d_max, config.delta)
     assert np.abs(dense_projector(init.f0) - dense_projector(refit)).max() <= 1e-10
     assert np.all(np.diff(init.ssr_path) <= MONOTONICITY_RTOL * init.ssr_path[0])
+
+
+# --- the compressed route for long panels ------------------------------------------
+
+LONG_PANELS = {
+    "dgp1-40x1000": (lambda: generate_dgp1(Dgp1Spec(40, 1000, seed=100))[0], 10),
+    "long-12x300": (lambda: random_panel(9, n=12, t=300, n_factors=2, noise=0.2)[0], 4),
+    "long-dx1-12x300": (lambda: random_panel(9, n=12, t=300, d_x=1, n_factors=2)[0], 4),
+}
+
+
+@pytest.mark.parametrize("name", list(LONG_PANELS))
+def test_compressed_route_matches_the_direct_loop(monkeypatch, name):
+    # T > 2m: the loop runs on the N x m coordinate panel, m = (1 + d_x) N, and
+    # only the spectrum at beta0 is taken on the full panel. With d_x = 1 the
+    # coordinate panel is 2N wide and eigensolves m x m; with d_x = 2 it takes
+    # the thin SVD. The direct loop on the full panel is the oracle
+    make, d_max = LONG_PANELS[name]
+    ds = make()
+    n, t, d_x = ds.n_units, ds.n_periods, ds.n_regressors
+    m = (1 + d_x) * n
+    config = IpcConfig(d_max=d_max)
+    logs = {solver: record_calls(monkeypatch, solver, init_estimator)
+            for solver in ("top_sym_eigh", "top_svd_pairs")}
+    compressed = fit_initial(ds, config)
+    widths = sorted(args[0].shape[1] for log in logs.values() for args in log)
+    assert widths == [m] * (compressed.iterations + 1) + [t]
+    assert len(logs["top_sym_eigh"]) == (compressed.iterations + 1 if d_x == 1 else 0)
+
+    monkeypatch.setattr(init_estimator, "COMPRESS_ASPECT_RATIO", np.inf)
+    direct = fit_initial(ds, config)
+    assert compressed.iterations == direct.iterations
+    assert compressed.converged and direct.converged
+    np.testing.assert_allclose(compressed.beta0, direct.beta0, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(compressed.ssr_path, direct.ssr_path, rtol=1e-10, atol=0)
+    assert np.abs(dense_projector(compressed.f0) - dense_projector(direct.f0)).max() <= 1e-10
+    values, want = compressed.spectrum[0], direct.spectrum[0]
+    assert values.shape == (t,) and np.abs(values - want).max() <= 1e-10 * want[0]
+
+
+def test_compressed_fit_initial_allocation_budget():
+    # W, the T x m matrix of every series, is the one panel-sized buffer: it is
+    # built Fortran-ordered and factored in place, and the full-size spectrum
+    # at beta0 comes after W is freed. The peak is 1.25 (y + x); a second copy
+    # of W, as np.linalg.qr makes, would read 2.2 (y + x)
+    ds, _ = generate_dgp1(Dgp1Spec(40, 1000, seed=100))
+    panel = ds.y.nbytes + ds.x.nbytes
+    assert traced_peak(fit_initial, ds, IpcConfig()) <= 1.5 * panel + ALLOC_SLACK
+
+
+@pytest.mark.parametrize("n, t", [(12, 300), (30, 60), (40, 40)], ids=["12x300", "30x60", "40x40"])
+def test_exactly_explained_panels_fit(n, t):
+    # y = x[..., 0]: the objective starts at rounding level, so a slack relative
+    # to it alone is rounding too. Steps rose by up to 5.7e5 times the starting
+    # objective, and a slack of MONOTONICITY_RTOL times it alone raised
+    # MonotonicityError in 12 to 15 of these 20 draws per shape. The rises stay
+    # below 1.5e-14 * eps * sum(y**2), far inside the slack's floor, and every
+    # draw fits the slope to rounding
+    for seed in range(20):
+        x = np.random.default_rng(seed).normal(size=(n, t, 2))
+        fit = fit_ipc(PanelDataset(y=x[..., 0], x=x), IpcConfig(d_max=3))
+        assert np.abs(fit.beta - [1.0, 0.0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, t", [(12, 300), (40, 40)], ids=["12x300", "40x40"])
+def test_identical_units_end_in_a_typed_error(n, t):
+    # every unit the same series: nothing varies across units, so step 3 has
+    # no information; the fit ends in a singular design or Z Gram, never in a
+    # MonotonicityError over rounding
+    for seed in range(5):
+        x = np.broadcast_to(np.random.default_rng(seed).normal(size=(1, t, 2)), (n, t, 2))
+        with pytest.raises((SingularDesignError, SingularZGramError)):
+            fit_ipc(PanelDataset(y=x[..., 0], x=x), IpcConfig(d_max=3))
 
 
 # --- residual and unit_ssr -------------------------------------------------------
