@@ -64,6 +64,10 @@ class TimeInvariantRegressorError(DataError):
         super().__init__(msg)
 
 
+class IdenticalUnitsError(DataError):
+    """Every unit has the same y and x series: nothing varies across units."""
+
+
 class DmaxTooLargeError(DataError):
     pass
 

@@ -125,6 +125,7 @@ def fit_final(
     beta1 = init.beta0 + np.linalg.solve(x_gram, g)
 
     z = _across_units(mx, gamma_hat)
+    del mx  # so the sandwich's sigma2-scaled copy of z reuses its pages: two stacks live, not three
     z_gram = stacked_gram(z, z)
     # factors and loadings that use up the regressors leave a Z of rounding
     # error whose own Gram can still be well conditioned, so Z is also

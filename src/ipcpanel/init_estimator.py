@@ -43,13 +43,22 @@ ALS_MAX_ITER = 1000
 #: a panel with T > COMPRESS_ASPECT_RATIO * m, m = (1 + d_x) N, alternates on its
 #: N x m coordinate panel (:func:`_compress_time`). ``fit_initial`` in ms, never
 #: vs always compressed, DGP1 with d_x = 2, T/m in brackets, median of 15 on a
-#: 2-vCPU VM with OpenBLAS on one thread: 40 x 160 (1.33) 7.9 vs 9.1,
-#: 40 x 200 (1.67) 9.4 vs 9.5, 40 x 240 (2.0) 9.9 vs 9.3, 40 x 300 (2.5) 12.8
-#: vs 11.0, 40 x 600 (5) 17.0 vs 11.3, 40 x 1000 (8.3) 26.8 vs 13.9, 20 x 80
-#: (1.33) 7.2 vs 7.7, 20 x 300 (5) 7.7 vs 6.3, 100 x 400 (1.33) 34.4 vs 33.0,
-#: 100 x 1000 (3.3) 68.1 vs 44.9. The QR pays for itself from about 2m on;
-#: below that it loses or wins by no more than the host's noise.
+#: 2-vCPU VM with OpenBLAS on one thread: 40 x 160 (1.33) 7.6 vs 9.2, 40 x 200
+#: (1.67) 9.2 vs 10.1, 40 x 240 (2.0) 10.0 vs 10.1, 40 x 300 (2.5) 12.2 vs 11.1,
+#: 40 x 600 (5) 17.2 vs 11.1, 40 x 1000 (8.3) 27.8 vs 13.7, 20 x 80 (1.33) 5.2
+#: vs 6.3, 20 x 120 (2.0) 5.6 vs 6.4, 20 x 300 (5) 7.5 vs 7.0, 100 x 400 (1.33)
+#: 35.4 vs 36.3, 100 x 600 (2.0) 46.8 vs 40.5, 100 x 1000 (3.3) 66.9 vs 43.9.
+#: The QR pays for itself from about 2m on.
 COMPRESS_ASPECT_RATIO = 2
+#: a panel with N > WIDE_COMPRESS_ASPECT_RATIO * m, m = (1 + d_x) T, alternates
+#: on its m x T coordinate panel (:func:`_compress_units`). Same set-up, N/m in
+#: brackets: 250 x 40 (2.1) 4.8 vs 4.7, 480 x 40 (4) 4.6 vs 4.4, 600 x 40 (5)
+#: 5.2 vs 4.5, 1000 x 40 (8.3) 5.6 vs 4.5, 2000 x 40 (16.7) 7.0 vs 5.5, 200 x 20
+#: (3.3) 1.9 vs 2.3, 300 x 20 (5) 2.3 vs 2.4, 400 x 20 (6.7) 2.8 vs 2.5, 600 x 20
+#: (10) 2.4 vs 2.1, 400 x 60 (2.2) 4.7 vs 5.4, 720 x 60 (4) 8.0 vs 7.2, 1000 x
+#: 100 (3.3) 16.0 vs 15.7, 2000 x 100 (6.7) 26.7 vs 22.7. Below about 4m the
+#: QR costs about what the smaller loop saves; at T = 20 it pays from about 6m.
+WIDE_COMPRESS_ASPECT_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -66,8 +75,13 @@ class InitResult:
 
 
 def residual(dataset: PanelDataset, beta: np.ndarray) -> np.ndarray:
-    """r = y - X beta, fresh, formed in the buffer of X beta: the one place r is formed."""
-    r = dataset.x @ np.asarray(beta, dtype=float)
+    """r = y - X beta, fresh, formed in the buffer of X beta: the one place r is formed.
+
+    X beta is one matrix-vector product on the (N T) x d_x view of X, not N
+    stacked ones; the result is the same to the bit.
+    """
+    d_x = dataset.n_regressors
+    r = (dataset.x.reshape(-1, d_x) @ np.asarray(beta, dtype=float)).reshape(dataset.y.shape)
     return np.subtract(dataset.y, r, out=r)
 
 
@@ -122,6 +136,19 @@ def f_given_beta(
     return dataset.n_periods ** (delta / 2.0) * residual_spectrum(dataset, beta, k)[1]
 
 
+def _r_factor(w: np.ndarray) -> np.ndarray:
+    """R of W = QR, m x m, for a fresh Fortran-ordered tall W with m columns.
+
+    LAPACK's compact-WY geqrt (block size min(32, m)) factors W in place and
+    Q is never formed; at 2000 x 120 it takes 2.2 ms against geqrf's 5.3
+    (one BLAS thread). A Cholesky factor of W'W would be cheaper but squares
+    the condition number, and an exactly explained panel's residual would
+    then sit at sqrt(eps) |y| instead of at rounding.
+    """
+    m = w.shape[1]
+    return np.triu(scipy.linalg.lapack.dgeqrt(min(32, m), w, overwrite_a=True)[0][:m])
+
+
 def _compress_time(dataset: PanelDataset) -> PanelDataset:
     """The panel in an orthonormal basis Q of the span of its m = (1 + d_x) N series.
 
@@ -131,17 +158,34 @@ def _compress_time(dataset: PanelDataset) -> PanelDataset:
     Every residual and regressor lies in col(Q), so the objective, the
     projections and the slope of the alternating minimization are the same
     on it, for factors F~ = Q'F. A rank-deficient W is fine: Q still has
-    orthonormal columns. W is a fresh Fortran-ordered array, so LAPACK
-    factors it in place; scipy copies a transposed view first.
+    orthonormal columns.
     """
     n, t, d_x = dataset.n_units, dataset.n_periods, dataset.n_regressors
     w = np.empty((t, (1 + d_x) * n), order="F")
     series = w.T.reshape(n, 1 + d_x, t)
     series[:, 0] = dataset.y
     series[:, 1:] = dataset.x.transpose(0, 2, 1)
-    r = scipy.linalg.qr(w, overwrite_a=True, mode="raw", check_finite=False)[1]
-    coords = r.T.reshape(n, 1 + d_x, -1)
+    coords = _r_factor(w).T.reshape(n, 1 + d_x, -1)
     return PanelDataset(y=coords[:, 0], x=coords[:, 1:].transpose(0, 2, 1))
+
+
+def _compress_units(dataset: PanelDataset) -> PanelDataset:
+    """The panel in an orthonormal basis Q of the span of its units' m = (1 + d_x) T columns.
+
+    Takes only R of W = QR, where W is N x m and row i holds y_i and then x_i
+    row-major. The coordinate panel is R read back in that order, m x T for
+    y and m x T x d_x for x: m coordinate units of the same T periods, with
+    y~ = Q'y and x~_j = Q'x_j for the N x T matrices y and x_j. Every column
+    of r and of each x_j lies in col(Q), so sum_i |M_F r_i|^2, sum_i X_i'M_F X_i,
+    sum_i X_i'M_F y_i and r'r are the same on it, for the same F: time is
+    never rotated. Only N, the divisor of r'r/N, differs.
+    """
+    n, t, d_x = dataset.n_units, dataset.n_periods, dataset.n_regressors
+    w = np.empty((n, (1 + d_x) * t), order="F")
+    w[:, :t] = dataset.y
+    w[:, t:] = dataset.x.reshape(n, -1)
+    r = _r_factor(w)
+    return PanelDataset(y=r[:, :t], x=r[:, t:].reshape(-1, t, d_x))
 
 
 def _alternate(dataset: PanelDataset, config: IpcConfig, settle_k: int) -> InitResult:
@@ -200,17 +244,28 @@ def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
     ``beta0`` is then taken once on the full panel, and ``f0`` is
     T^{delta/2} times its top ``d_max`` vectors.
 
+    A wide panel, N > ``WIDE_COMPRESS_ASPECT_RATIO`` * m with m = (1 + d_x) T,
+    alternates on its m x T coordinate panel (:func:`_compress_units`), which
+    rotates the units and keeps time, so ``f0`` is the loop's own and the
+    coordinate spectrum, its values times m/N, is that of r'r/N: a wide fit
+    makes no full-size eigensolve.
+
     Hitting the cap is not an error: the result comes back with
     ``converged=False``.
     """
     n, t, d_x = dataset.n_units, dataset.n_periods, dataset.n_regressors
-    compress = t > COMPRESS_ASPECT_RATIO * (1 + d_x) * n
-    if compress:
+    if t > COMPRESS_ASPECT_RATIO * (1 + d_x) * n:
         init = _alternate(_compress_time(dataset), config, config.d_max)
-    else:
-        init = _alternate(dataset, config, t)
+        spectrum = residual_spectrum(dataset, init.beta0, t)
+        f0 = t ** (config.delta / 2.0) * spectrum[1][:, : config.d_max]
+        return replace(init, f0=f0, spectrum=spectrum)
+    wide = n > WIDE_COMPRESS_ASPECT_RATIO * (1 + d_x) * t
+    panel = _compress_units(dataset) if wide else dataset
+    init = _alternate(panel, config, t)
     if init.spectrum is not None and init.spectrum[0].size == t:
-        return init
-    spectrum = residual_spectrum(dataset, init.beta0, t)
-    f0 = t ** (config.delta / 2.0) * spectrum[1][:, : config.d_max] if compress else init.f0
-    return replace(init, f0=f0, spectrum=spectrum)
+        values, vectors = init.spectrum
+    else:
+        values, vectors = residual_spectrum(panel, init.beta0, t)
+    if wide:
+        values = values * (panel.n_units / n)
+    return replace(init, spectrum=(values, vectors))

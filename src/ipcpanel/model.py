@@ -18,6 +18,7 @@ from .errors import (
     DeltaTooLargeError,
     DimensionMismatchError,
     DmaxTooLargeError,
+    IdenticalUnitsError,
     NonFiniteDataError,
     TimeInvariantRegressorError,
 )
@@ -251,9 +252,20 @@ def validate_dataset(dataset: PanelDataset) -> None:
 def validate(dataset: PanelDataset, config: IpcConfig) -> None:
     """Check the dataset and configuration invariants jointly.
 
-    Adds DmaxTooLargeError and DeltaTooLargeError to the dataset-only checks.
+    Adds IdenticalUnitsError, DmaxTooLargeError and DeltaTooLargeError to
+    the dataset-only checks. A panel whose units all have the same y and x
+    series loads, but nothing in it varies across units, so it cannot be
+    fitted: step 3's Z would be rounding error.
     """
     validate_dataset(dataset)
+    # unit 1 is compared with unit 0 first, so a typical panel pays O(T)
+    y, x = dataset.y, dataset.x
+    if (np.array_equal(y[1], y[0]) and np.array_equal(x[1], x[0])
+            and np.all(y == y[0]) and np.all(x == x[0])):
+        raise IdenticalUnitsError(
+            f"all {dataset.n_units} units have the same y and x series: "
+            "nothing varies across units"
+        )
     if config.d_max >= min(dataset.n_units, dataset.n_periods):
         raise DmaxTooLargeError(
             f"d_max={config.d_max} must be < min(N, T) = "

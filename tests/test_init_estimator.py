@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ipcpanel import init_estimator
-from ipcpanel.errors import SingularDesignError, SingularZGramError
-from ipcpanel.final_estimator import fit_ipc
+from ipcpanel.errors import IdenticalUnitsError, SingularDesignError
+from ipcpanel.factor_selection import iterate_groups
+from ipcpanel.final_estimator import fit_final, fit_ipc
 from ipcpanel.init_estimator import (
     MONOTONICITY_RTOL,
     beta_given_f,
@@ -285,29 +286,103 @@ def test_compressed_fit_initial_allocation_budget():
     assert traced_peak(fit_initial, ds, IpcConfig()) <= 1.5 * panel + ALLOC_SLACK
 
 
-@pytest.mark.parametrize("n, t", [(12, 300), (30, 60), (40, 40)], ids=["12x300", "30x60", "40x40"])
+@pytest.mark.parametrize(
+    "n, t", [(12, 300), (30, 60), (40, 40), (300, 12)], ids=["12x300", "30x60", "40x40", "300x12"]
+)
 def test_exactly_explained_panels_fit(n, t):
     # y = x[..., 0]: the objective starts at rounding level, so a slack relative
     # to it alone is rounding too. Steps rose by up to 5.7e5 times the starting
     # objective, and a slack of MONOTONICITY_RTOL times it alone raised
     # MonotonicityError in 12 to 15 of these 20 draws per shape. The rises stay
     # below 1.5e-14 * eps * sum(y**2), far inside the slack's floor, and every
-    # draw fits the slope to rounding
+    # draw fits the slope to rounding. 12x300 takes the long route and 300x12
+    # the wide one; step 2 reads a rounding-level spectrum on either, so the
+    # group dimensions are not pinned
     for seed in range(20):
         x = np.random.default_rng(seed).normal(size=(n, t, 2))
         fit = fit_ipc(PanelDataset(y=x[..., 0], x=x), IpcConfig(d_max=3))
         assert np.abs(fit.beta - [1.0, 0.0]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n, t", [(12, 300), (40, 40)], ids=["12x300", "40x40"])
+@pytest.mark.parametrize(
+    "n, t", [(12, 300), (40, 40), (600, 30)], ids=["12x300", "40x40", "600x30"]
+)
 def test_identical_units_end_in_a_typed_error(n, t):
-    # every unit the same series: nothing varies across units, so step 3 has
-    # no information; the fit ends in a singular design or Z Gram, never in a
-    # MonotonicityError over rounding
+    # every unit the same series: nothing varies across units, so step 3 has no
+    # information. Without the data check the fit ended in SingularDesignError or
+    # SingularZGramError on the first two shapes, and on the wide 600x30, which
+    # alternates on its coordinate panel, it returned a fit in 8 of 20 draws
     for seed in range(5):
         x = np.broadcast_to(np.random.default_rng(seed).normal(size=(1, t, 2)), (n, t, 2))
-        with pytest.raises((SingularDesignError, SingularZGramError)):
+        with pytest.raises(IdenticalUnitsError):
             fit_ipc(PanelDataset(y=x[..., 0], x=x), IpcConfig(d_max=3))
+
+
+# --- the compressed route for wide panels ------------------------------------------
+
+WIDE_PANELS = {
+    "dgp1-2000x40": (lambda: generate_dgp1(Dgp1Spec(2000, 40, seed=100))[0], 10),
+    "wide-dx1-300x20": (lambda: random_panel(9, n=300, t=20, d_x=1, n_factors=2)[0], 4),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDE_PANELS))
+def test_wide_compressed_route_matches_the_direct_loop(monkeypatch, name):
+    # N > 4m: the loop runs on the m x T coordinate panel, m = (1 + d_x) T, and
+    # its spectrum at beta0, values times m/N, goes to step 2, so every spectrum
+    # is taken on the coordinate panel. The direct loop on the full panel is
+    # the oracle
+    make, d_max = WIDE_PANELS[name]
+    ds = make()
+    n, t, d_x = ds.n_units, ds.n_periods, ds.n_regressors
+    config = IpcConfig(d_max=d_max)
+    log = record_calls(monkeypatch, "residual_spectrum", init_estimator)
+    compressed = fit_initial(ds, config)
+    assert {args[0].n_units for args in log} == {(1 + d_x) * t}
+    assert len(log) in (compressed.iterations + 1, compressed.iterations + 2)
+
+    monkeypatch.setattr(init_estimator, "WIDE_COMPRESS_ASPECT_RATIO", np.inf)
+    taken = len(log)
+    direct = fit_initial(ds, config)
+    assert {args[0].n_units for args in log[taken:]} == {n}
+    assert compressed.iterations == direct.iterations
+    assert compressed.converged and direct.converged
+    np.testing.assert_allclose(compressed.beta0, direct.beta0, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(compressed.ssr_path, direct.ssr_path, rtol=1e-10, atol=0)
+    assert np.abs(dense_projector(compressed.f0) - dense_projector(direct.f0)).max() <= 1e-10
+    values, want = compressed.spectrum[0], direct.spectrum[0]
+    assert values.shape == (t,) and np.abs(values - want).max() <= 1e-10 * want[0]
+
+
+def test_wide_compressed_fit_initial_allocation_budget(wide_panel):
+    # W, the N x m matrix of every unit's series, is the one panel-sized buffer:
+    # it is built Fortran-ordered and factored in place, and the loop and its
+    # spectra run on the m x T coordinate panel
+    panel = wide_panel.y.nbytes + wide_panel.x.nbytes
+    assert traced_peak(fit_initial, wide_panel, IpcConfig()) <= 1.5 * panel + ALLOC_SLACK
+
+
+def test_fit_final_holds_two_regressor_stacks(wide_panel):
+    # M_F X is dropped once Z is formed, so the sandwich's sigma2-scaled copy
+    # of Z is the second N x T x d_x stack, not a third. The peak is Z plus
+    # unit_ssr's r and M_F r' (2.10 stacks here, 3.10 with M_F X kept alive);
+    # the budget adds eight N-long vectors for the loadings, sigma2 and the
+    # k x N coefficient blocks
+    config = IpcConfig()
+    init = fit_initial(wide_panel, config)
+    groups = iterate_groups(wide_panel, init.beta0, config, init.spectrum)
+    stack, n = wide_panel.x.nbytes, wide_panel.n_units
+    budget = 2 * stack + 8 * n * 8 + ALLOC_SLACK
+    assert traced_peak(fit_final, wide_panel, init, groups, config) <= budget
+
+
+def test_wide_fit_is_invariant_to_unit_order(wide_panel):
+    # the coordinate panel depends on the order of W's rows only through Q
+    perm = np.random.default_rng(0).permutation(wide_panel.n_units)
+    fit = fit_ipc(wide_panel)
+    permuted = fit_ipc(wide_panel.select_units(perm))
+    assert [g.dim for g in permuted.groups] == [g.dim for g in fit.groups]
+    np.testing.assert_allclose(permuted.beta, fit.beta, rtol=1e-10, atol=0)
 
 
 # --- residual and unit_ssr -------------------------------------------------------

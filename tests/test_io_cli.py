@@ -629,6 +629,19 @@ def test_gram_underflow_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "fit").exists()
 
 
+def test_identical_units_are_a_data_error(tmp_path, capsys):
+    x = np.broadcast_to(np.random.default_rng(3).normal(size=(1, 30, 2)), (40, 30, 2))
+    path = tmp_path / "panel.csv"
+    dataset_to_csv(path, PanelDataset(y=x[..., 0], x=x))
+    code = cli_main([
+        "estimate", "--data", str(path), "--x-cols", "x1,x2", "--dmax", "5",
+        "--out", str(tmp_path / "fit"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error: all 40 units have the same")
+    assert not (tmp_path / "fit").exists()
+
+
 @pytest.mark.parametrize("delta", ["300", "1e6"])
 def test_delta_whose_t_power_overflows_is_a_data_error(tmp_path, capsys, delta):
     ds, _ = generate_dgp1(Dgp1Spec(30, 30, seed=5))

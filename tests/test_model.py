@@ -9,6 +9,7 @@ from ipcpanel.errors import (
     DeltaTooLargeError,
     DimensionMismatchError,
     DmaxTooLargeError,
+    IdenticalUnitsError,
     NonFiniteDataError,
     TimeInvariantRegressorError,
 )
@@ -75,6 +76,23 @@ def test_regressor_spanning_the_float_range_validates_without_warning():
             with pytest.raises(TimeInvariantRegressorError) as err:
                 validate_dataset(PanelDataset(y=ds.y, x=laid_out(x, layout)))
         assert (err.value.unit, err.value.regressor) == (3, d_x - 1), (d_x, layout)
+
+
+def test_identical_units_are_a_data_error():
+    # every unit the same y and x series cannot be fitted, though it loads; one
+    # differing cell, in y or in x and in any unit, lets the panel through
+    ds = well_formed(n=6, t=8, seed=4)
+    y, x = np.broadcast_to(ds.y[:1], ds.y.shape), np.broadcast_to(ds.x[:1], ds.x.shape)
+    identical = PanelDataset(y=y, x=x)
+    validate_dataset(identical)
+    with pytest.raises(IdenticalUnitsError, match="nothing varies across units"):
+        validate(identical, IpcConfig(d_max=3))
+    for unit in (1, 5):
+        y_off, x_off = np.array(y), np.array(x)
+        y_off[unit, 3] += 1.0
+        x_off[unit, 2, 1] += 1.0
+        validate(PanelDataset(y=y_off, x=x), IpcConfig(d_max=3))
+        validate(PanelDataset(y=y, x=x_off), IpcConfig(d_max=3))
 
 
 def test_time_invariance_check_copies_no_stack(wide_panel):
