@@ -40,7 +40,7 @@ class WaldSpec:
         if not (np.all(np.isfinite(r_matrix)) and np.all(np.isfinite(r_vector))):
             raise NonFiniteDataError("R and r must be finite")
         if r_matrix.shape[0] != r_vector.shape[0]:
-            raise RankDeficientRError(
+            raise DimensionMismatchError(
                 f"R has {r_matrix.shape[0]} rows but r has {r_vector.shape[0]} entries"
             )
         if r_matrix.shape[0] > r_matrix.shape[1]:

@@ -16,7 +16,6 @@ import scipy.linalg
 from .errors import MonotonicityError, SingularDesignError
 from .model import IpcConfig, PanelDataset
 from .numerics import (
-    SVD_ASPECT_RATIO,
     annihilator_apply,
     check_gram_rank,
     stacked_gram,
@@ -40,8 +39,15 @@ ALS_TOL = 1e-8
 ALS_COEF_TOL = 1e-2
 #: iteration cap; a capped minimization returns with ``converged=False``
 ALS_MAX_ITER = 1000
+#: an N x T residual panel with T > SVD_ASPECT_RATIO * N takes the eigenpairs
+#: of u'u/N from :func:`top_svd_pairs` instead of eigensolving the T x T matrix.
+#: Top 11 pairs of a random u on a 2-vCPU Xeon VM, OpenBLAS on one thread,
+#: median of 31 (eigh of u'u/N, GEMM included, vs svd(u')): 160 x 200 2.7 vs
+#: 4.2 ms, 100 x 200 2.8 vs 2.7 ms, 160 x 320 7.0 vs 7.1 ms, 100 x 300 5.5 vs
+#: 2.9 ms, 40 x 1000 97 vs 1.6 ms; the SVD wins once T exceeds about 2N.
+SVD_ASPECT_RATIO = 2
 #: a panel with T > COMPRESS_ASPECT_RATIO * m, m = (1 + d_x) N, alternates on its
-#: N x m coordinate panel (:func:`_compress_time`). ``fit_initial`` in ms, never
+#: N x m coordinate panel (:func:`_compress`, axis 1). ``fit_initial`` in ms, never
 #: vs always compressed, DGP1 with d_x = 2, T/m in brackets, median of 15 on a
 #: 2-vCPU VM with OpenBLAS on one thread: 40 x 160 (1.33) 7.6 vs 9.2, 40 x 200
 #: (1.67) 9.2 vs 10.1, 40 x 240 (2.0) 10.0 vs 10.1, 40 x 300 (2.5) 12.2 vs 11.1,
@@ -51,7 +57,7 @@ ALS_MAX_ITER = 1000
 #: The QR pays for itself from about 2m on.
 COMPRESS_ASPECT_RATIO = 2
 #: a panel with N > WIDE_COMPRESS_ASPECT_RATIO * m, m = (1 + d_x) T, alternates
-#: on its m x T coordinate panel (:func:`_compress_units`). Same set-up, N/m in
+#: on its m x T coordinate panel (:func:`_compress`, axis 0). Same set-up, N/m in
 #: brackets: 250 x 40 (2.1) 4.8 vs 4.7, 480 x 40 (4) 4.6 vs 4.4, 600 x 40 (5)
 #: 5.2 vs 4.5, 1000 x 40 (8.3) 5.6 vs 4.5, 2000 x 40 (16.7) 7.0 vs 5.5, 200 x 20
 #: (3.3) 1.9 vs 2.3, 300 x 20 (5) 2.3 vs 2.4, 400 x 20 (6.7) 2.8 vs 2.5, 600 x 20
@@ -116,8 +122,8 @@ def residual_spectrum(
     dataset: PanelDataset, beta: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top ``k`` eigenpairs of r'r/N, r = y - X beta, values descending, clamped
-    at zero and zero-padded to length ``k``. For T > 2N (``numerics.SVD_ASPECT_RATIO``)
-    they come from the thin SVD of r, so no T x T matrix is formed: at most N vectors."""
+    at zero and zero-padded to length ``k``. For T > 2N (``SVD_ASPECT_RATIO``) they
+    come from the thin SVD of r, so no T x T matrix is formed: at most N vectors."""
     n, t = dataset.n_units, dataset.n_periods
     r = residual(dataset, beta)
     svd = t > SVD_ASPECT_RATIO * n
@@ -136,75 +142,58 @@ def f_given_beta(
     return dataset.n_periods ** (delta / 2.0) * residual_spectrum(dataset, beta, k)[1]
 
 
-def _r_factor(w: np.ndarray) -> np.ndarray:
-    """R of W = QR, m x m, for a fresh Fortran-ordered tall W with m columns.
+def _compress(dataset: PanelDataset, axis: int) -> PanelDataset:
+    """The panel in an orthonormal basis Q of the span of its series along ``axis``
+    (0: units, 1: periods).
 
-    LAPACK's compact-WY geqrt (block size min(32, m)) factors W in place and
-    Q is never formed; at 2000 x 120 it takes 2.2 ms against geqrf's 5.3
-    (one BLAS thread). A Cholesky factor of W'W would be cheaper but squares
-    the condition number, and an exactly explained panel's residual would
-    then sit at sqrt(eps) |y| instead of at rounding.
+    W has one row per unit (axis 0) or period (axis 1) and m = (1 + d_x) L
+    columns, L the other dimension: the L series of y along ``axis``, then
+    the L d_x series of x in x's own order. Only R of W = QR is kept, read
+    back in that order as the coordinate panel: y~ = Q'y and x~_j = Q'x_j
+    along ``axis``, so axis 0 gives m units of the same T periods and axis 1
+    the N units over m periods. Every series lies in col(Q), so the
+    projections, the objective and the slope of the alternating minimization
+    are the same on it: along units r'r is kept and only N, the divisor of
+    r'r/N, differs; along time the factors are F~ = Q'F. A rank-deficient W
+    is fine: Q still has orthonormal columns.
+
+    W is filled through views only and factored in place by LAPACK's
+    compact-WY geqrt (block size min(32, m)); Q is never formed. At 2000 x
+    120 it takes 2.2 ms against geqrf's 5.3 (one BLAS thread). A Cholesky
+    factor of W'W would be cheaper but squares the condition number, and an
+    exactly explained panel's residual would then sit at sqrt(eps) |y|
+    instead of at rounding.
     """
-    m = w.shape[1]
-    return np.triu(scipy.linalg.lapack.dgeqrt(min(32, m), w, overwrite_a=True)[0][:m])
+    y, x, d_x = dataset.y, dataset.x, dataset.n_regressors
+    rows, width = y.shape[axis], y.shape[1 - axis]
+    m = (1 + d_x) * width
+    w = np.empty((rows, m), order="F")
+    series = w.T  # C-ordered, so every block and its reshape below is a view
+    series[:width] = np.moveaxis(y, axis, -1)
+    series[width:].reshape(width, d_x, rows)[...] = np.moveaxis(x, axis, -1)
+    r = np.triu(scipy.linalg.lapack.dgeqrt(min(32, m), w, overwrite_a=True)[0][:m])
+    return PanelDataset(
+        y=np.moveaxis(r[:, :width], 0, axis),
+        x=np.moveaxis(r[:, width:].reshape(m, width, d_x), 0, axis),
+    )
 
 
-def _compress_time(dataset: PanelDataset) -> PanelDataset:
-    """The panel in an orthonormal basis Q of the span of its m = (1 + d_x) N series.
-
-    Takes only R of W = QR, where W is T x m and holds each unit's y_i and
-    then its d_x regressor series. The coordinate panel is R' read back in
-    that order, N x m for y and N x m x d_x for x: y~_i = Q'y_i, x~_ij = Q'x_ij.
-    Every residual and regressor lies in col(Q), so the objective, the
-    projections and the slope of the alternating minimization are the same
-    on it, for factors F~ = Q'F. A rank-deficient W is fine: Q still has
-    orthonormal columns.
-    """
-    n, t, d_x = dataset.n_units, dataset.n_periods, dataset.n_regressors
-    w = np.empty((t, (1 + d_x) * n), order="F")
-    series = w.T.reshape(n, 1 + d_x, t)
-    series[:, 0] = dataset.y
-    series[:, 1:] = dataset.x.transpose(0, 2, 1)
-    coords = _r_factor(w).T.reshape(n, 1 + d_x, -1)
-    return PanelDataset(y=coords[:, 0], x=coords[:, 1:].transpose(0, 2, 1))
-
-
-def _compress_units(dataset: PanelDataset) -> PanelDataset:
-    """The panel in an orthonormal basis Q of the span of its units' m = (1 + d_x) T columns.
-
-    Takes only R of W = QR, where W is N x m and row i holds y_i and then x_i
-    row-major. The coordinate panel is R read back in that order, m x T for
-    y and m x T x d_x for x: m coordinate units of the same T periods, with
-    y~ = Q'y and x~_j = Q'x_j for the N x T matrices y and x_j. Every column
-    of r and of each x_j lies in col(Q), so sum_i |M_F r_i|^2, sum_i X_i'M_F X_i,
-    sum_i X_i'M_F y_i and r'r are the same on it, for the same F: time is
-    never rotated. Only N, the divisor of r'r/N, differs.
-    """
-    n, t, d_x = dataset.n_units, dataset.n_periods, dataset.n_regressors
-    w = np.empty((n, (1 + d_x) * t), order="F")
-    w[:, :t] = dataset.y
-    w[:, t:] = dataset.x.reshape(n, -1)
-    r = _r_factor(w)
-    return PanelDataset(y=r[:, :t], x=r[:, t:].reshape(-1, t, d_x))
-
-
-def _alternate(dataset: PanelDataset, config: IpcConfig, settle_k: int) -> InitResult:
+def _alternate(dataset: PanelDataset, config: IpcConfig) -> InitResult:
     """The alternating minimization on ``dataset``. The step that settles the
-    slope takes ``settle_k`` eigenpairs, every other step ``d_max``; the
-    result's ``spectrum`` is the last one taken (None if no step ran)."""
+    slope takes the panel's whole spectrum, every other step ``d_max`` pairs;
+    the result's ``spectrum`` is the last one taken."""
     t, d_max = dataset.n_periods, config.d_max
     beta = beta_given_f(dataset, np.zeros((t, 0)))
     f = f_given_beta(dataset, beta, d_max, config.delta)
     path = [float(unit_ssr(dataset, beta, f).sum())]
     eps_energy = np.finfo(float).eps * float(np.vdot(dataset.y, dataset.y))
     slack = MONOTONICITY_RTOL * max(path[0], eps_energy)
-    spectrum = None
     converged = False
     iterations = 0
     for iterations in range(1, ALS_MAX_ITER + 1):
         beta_new = beta_given_f(dataset, f)
         d_coef = np.linalg.norm(beta_new - beta) / max(np.linalg.norm(beta), 1e-300)
-        spectrum = residual_spectrum(dataset, beta_new, settle_k if d_coef < ALS_COEF_TOL else d_max)
+        spectrum = residual_spectrum(dataset, beta_new, t if d_coef < ALS_COEF_TOL else d_max)
         f = t ** (config.delta / 2.0) * spectrum[1][:, :d_max]
         path.append(float(unit_ssr(dataset, beta_new, f).sum()))
         if path[-1] > path[-2] + slack:
@@ -233,39 +222,40 @@ def fit_initial(dataset: PanelDataset, config: IpcConfig) -> InitResult:
     slope test runs first, so the step that settles the slope takes the whole
     spectrum at ``beta0`` (the other stops take it once more, at the end).
 
-    A long panel, T > ``COMPRESS_ASPECT_RATIO`` * m with m = (1 + d_x) N,
-    alternates on its N x m coordinate panel from one QR
-    (:func:`_compress_time`) instead of on T-long vectors. That is exact in
-    exact arithmetic: Q has orthonormal columns and holds every r_i and X_i,
-    the optimal F lies in col(r') and so in col(Q), hence |M_F r_i|^2,
-    sum X_i'M_F X_i and sum X_i'M_F y_i equal their compressed forms, and
-    only the span of F matters, not its m^{delta/2} scale. The slopes,
-    objective path and iteration count are the loop's own; the spectrum at
-    ``beta0`` is then taken once on the full panel, and ``f0`` is
-    T^{delta/2} times its top ``d_max`` vectors.
+    A long panel, T > ``COMPRESS_ASPECT_RATIO`` * (1 + d_x) N, or a wide one,
+    N > ``WIDE_COMPRESS_ASPECT_RATIO`` * (1 + d_x) T, alternates on its
+    coordinate panel from one QR (:func:`_compress`) along time or along units.
+    That is exact in exact arithmetic: Q has orthonormal columns and holds
+    every r_i and X_i, the optimal F lies in col(r') and so, along time, in
+    col(Q), hence |M_F r_i|^2, sum X_i'M_F X_i and sum X_i'M_F y_i equal their
+    compressed forms, and only the span of F matters, not its scale. The
+    slopes, objective path and iteration count are the loop's own.
 
-    A wide panel, N > ``WIDE_COMPRESS_ASPECT_RATIO`` * m with m = (1 + d_x) T,
-    alternates on its m x T coordinate panel (:func:`_compress_units`), which
-    rotates the units and keeps time, so ``f0`` is the loop's own and the
-    coordinate spectrum, its values times m/N, is that of r'r/N: a wide fit
-    makes no full-size eigensolve.
+    The tail hands step 2 the spectrum of r'r/N at ``beta0``. If time was
+    rotated, it is taken once on the full panel, and ``f0`` is T^{delta/2}
+    times its top ``d_max`` vectors. Otherwise time is the panel's own, so
+    ``f0`` is the loop's and so is the spectrum, taken once more on the
+    panel if the last stop was not the slope test, its values times
+    ``panel.n_units / N`` (m/N along units, 1 uncompressed): a wide fit makes
+    no full-size eigensolve.
 
     Hitting the cap is not an error: the result comes back with
     ``converged=False``.
     """
     n, t, d_x = dataset.n_units, dataset.n_periods, dataset.n_regressors
     if t > COMPRESS_ASPECT_RATIO * (1 + d_x) * n:
-        init = _alternate(_compress_time(dataset), config, config.d_max)
-        spectrum = residual_spectrum(dataset, init.beta0, t)
-        f0 = t ** (config.delta / 2.0) * spectrum[1][:, : config.d_max]
-        return replace(init, f0=f0, spectrum=spectrum)
-    wide = n > WIDE_COMPRESS_ASPECT_RATIO * (1 + d_x) * t
-    panel = _compress_units(dataset) if wide else dataset
-    init = _alternate(panel, config, t)
-    if init.spectrum is not None and init.spectrum[0].size == t:
-        values, vectors = init.spectrum
+        axis = 1
+    elif n > WIDE_COMPRESS_ASPECT_RATIO * (1 + d_x) * t:
+        axis = 0
     else:
+        axis = None
+    panel = dataset if axis is None else _compress(dataset, axis)
+    init = _alternate(panel, config)
+    if axis == 1:
+        values, vectors = residual_spectrum(dataset, init.beta0, t)
+        f0 = t ** (config.delta / 2.0) * vectors[:, : config.d_max]
+        return replace(init, f0=f0, spectrum=(values, vectors))
+    values, vectors = init.spectrum
+    if values.size < t:
         values, vectors = residual_spectrum(panel, init.beta0, t)
-    if wide:
-        values = values * (panel.n_units / n)
-    return replace(init, spectrum=(values, vectors))
+    return replace(init, spectrum=(values * (panel.n_units / n), vectors))

@@ -26,14 +26,6 @@ RANK_RTOL = 1e-12
 #: relative asymmetry tolerated by :func:`top_sym_eigh`
 SYMMETRY_RTOL = 1e-10
 
-#: an N x T residual panel with T > SVD_ASPECT_RATIO * N takes the eigenpairs
-#: of u'u/N from :func:`top_svd_pairs` instead of eigensolving the T x T matrix.
-#: Top 11 pairs of a random u on a 2-vCPU Xeon VM, OpenBLAS on one thread,
-#: median of 31 (eigh of u'u/N, GEMM included, vs svd(u')): 160 x 200 2.7 vs
-#: 4.2 ms, 100 x 200 2.8 vs 2.7 ms, 160 x 320 7.0 vs 7.1 ms, 100 x 300 5.5 vs
-#: 2.9 ms, 40 x 1000 97 vs 1.6 ms; the SVD wins once T exceeds about 2N.
-SVD_ASPECT_RATIO = 2
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the largest-magnitude entry is positive."""

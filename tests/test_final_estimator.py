@@ -173,14 +173,15 @@ def test_end_to_end_delta_invariance():
     st.integers(0, 10_000),
     st.integers(0, 10_000),
     st.sampled_from(["units", "periods"]),
-    st.sampled_from([(24, 26, 6), (8, 60, 3)]),
+    st.sampled_from([(24, 26, 6), (8, 60, 3), (150, 8, 3)]),
 )
 def test_permutation_invariance(seed, perm_seed, axis, shape):
     # units and periods are exchangeable in every step: a reordered panel
     # selects the same dimensions and the same slope up to rounding. 8x60
-    # has T > 2 * 3N, so step 1 runs on the QR-compressed panel: a unit
-    # permutation reorders the columns that QR factors, a period permutation
-    # its rows
+    # has T > 2 * 3N and 150x8 has N > 4 * 3T, so step 1 runs on a
+    # QR-compressed panel, along time and along units: permuting the axis
+    # that is compressed reorders the rows that QR factors, permuting the
+    # other axis its columns
     n, t, d_max = shape
     ds, _ = generate_dgp1(Dgp1Spec(n, t, seed=seed))
     rng = np.random.default_rng(perm_seed)

@@ -120,6 +120,12 @@ def test_rank_deficient_restriction_rejected():
         WaldSpec(np.ones((3, 2)), np.zeros(3))
 
 
+def test_restriction_rows_must_match_r():
+    # a shape error in the input, not a numerical failure: the CLI exits 2
+    with pytest.raises(DimensionMismatchError, match="R has 2 rows but r has 1 entries"):
+        WaldSpec(np.eye(2), np.zeros(1))
+
+
 @pytest.mark.parametrize(
     "r_matrix, r_vector",
     [([[1.0, np.nan]], [0.0]), ([[1.0, 0.0]], [np.nan]), ([[np.inf, 0.0]], [0.0])],

@@ -200,8 +200,9 @@ STOPS = {
 
 #: eigensolves beyond one per iteration, by shape and stop: the start's, plus
 #: one more at beta0 unless the settling step took the whole spectrum. 20x300
-#: is compressed (T > 2 * 3N): its loop takes d_max pairs of the 20 x 60
-#: coordinate panel at every step, so every stop takes the spectrum once more
+#: is compressed along time (T > 2 * 3N): its settling step takes all 60 pairs
+#: of the 20 x 60 coordinate panel, but time is rotated, so every stop takes
+#: the spectrum once more on the full panel
 EXTRA_EIGENSOLVES = {
     "40x40": {"slope": 1, "objective": 2, "cap": 2},
     "20x60": {"slope": 1, "objective": 2, "cap": 2},
@@ -244,6 +245,9 @@ LONG_PANELS = {
     "dgp1-40x1000": (lambda: generate_dgp1(Dgp1Spec(40, 1000, seed=100))[0], 10),
     "long-12x300": (lambda: random_panel(9, n=12, t=300, n_factors=2, noise=0.2)[0], 4),
     "long-dx1-12x300": (lambda: random_panel(9, n=12, t=300, d_x=1, n_factors=2)[0], 4),
+    "long-dx3-12x300": (
+        lambda: random_panel(9, n=12, t=300, d_x=3, n_factors=2, noise=0.2)[0], 4
+    ),
 }
 
 
@@ -323,6 +327,9 @@ def test_identical_units_end_in_a_typed_error(n, t):
 WIDE_PANELS = {
     "dgp1-2000x40": (lambda: generate_dgp1(Dgp1Spec(2000, 40, seed=100))[0], 10),
     "wide-dx1-300x20": (lambda: random_panel(9, n=300, t=20, d_x=1, n_factors=2)[0], 4),
+    "wide-dx3-400x20": (
+        lambda: random_panel(9, n=400, t=20, d_x=3, n_factors=2, noise=0.2)[0], 4
+    ),
 }
 
 
@@ -374,6 +381,22 @@ def test_fit_final_holds_two_regressor_stacks(wide_panel):
     stack, n = wide_panel.x.nbytes, wide_panel.n_units
     budget = 2 * stack + 8 * n * 8 + ALLOC_SLACK
     assert traced_peak(fit_final, wide_panel, init, groups, config) <= budget
+
+
+@pytest.mark.parametrize(
+    "n, t, axis",
+    [(160, 160, None), (200, 200, None), (100, 200, None), (200, 100, None),
+     (2000, 40, 0), (40, 1000, 1)],
+    ids=["160x160", "200x200", "100x200", "200x100", "2000x40", "40x1000"],
+)
+def test_benchmark_shapes_take_their_route(monkeypatch, n, t, axis):
+    # the benchmark's shapes, d_x = 2: the 160 and 200 squares and the
+    # jackknife halves of 200 x 200 alternate on the panel itself, 2000 x 40
+    # on its units' coordinates and 40 x 1000 on its periods'
+    log = record_calls(monkeypatch, "_compress", init_estimator)
+    ds, _ = generate_dgp1(Dgp1Spec(n, t, seed=100))
+    fit_ipc(ds, IpcConfig())
+    assert [args[1] for args in log] == ([] if axis is None else [axis])
 
 
 def test_wide_fit_is_invariant_to_unit_order(wide_panel):

@@ -580,17 +580,20 @@ def test_exit_codes(tmp_path):
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "o3").exists()
     # data error: a restriction file that is empty or holds a non-finite
-    # value, or a finite R so large that R V R' overflows
+    # value, a finite R so large that R V R' overflows, or an R whose row
+    # count differs from r's length
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "nan.csv").write_text("nan\n")
     np.savetxt(tmp_path / "R1.csv", np.array([[1.0, -1.0]]), delimiter=",")
     (tmp_path / "R_nan.csv").write_text("1,nan\n")
     np.savetxt(tmp_path / "R_huge.csv", np.array([[1e300, 1.0]]), delimiter=",")
+    np.savetxt(tmp_path / "R_eye.csv", np.eye(2), delimiter=",")
     for name, r_matrix, r_vector in [
         ("r_nan", "R1.csv", "nan.csv"),
         ("R_nan", "R_nan.csv", "r.csv"),
         ("R_empty", "empty.csv", "r.csv"),
         ("R_huge", "R_huge.csv", "r.csv"),
+        ("R_rows", "R_eye.csv", "r.csv"),
     ]:
         out = run_cli(
             "estimate", "--data", str(path), "--x-cols", "x1,x2", "--dmax", "4",
