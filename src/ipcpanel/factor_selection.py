@@ -18,7 +18,7 @@ from .errors import (
 )
 # f_given_beta and top_sym_eigh are unused here; perfbench/selftest.py requires both bindings
 from .init_estimator import f_given_beta, residual, unit_ssr  # noqa: F401
-from .model import THRESHOLD_GLOBAL, FactorGroup, IpcConfig, PanelDataset
+from .model import FactorGroup, IpcConfig, PanelDataset
 from .numerics import top_sym_eigh  # noqa: F401
 
 #: slack below zero tolerated in eigenvalue inputs before clamping
@@ -131,15 +131,13 @@ def extract_group(
     The mock eigenvalue, r's energy left once the leading factors are
     projected out, is the sum of the values from ``offset`` on (from d_max
     on for the first group: the initial step's d_max factors). The
-    threshold is :func:`threshold_tau` of it; under the global rule,
-    groups after the first read the first group's stored mock instead.
+    threshold is :func:`threshold_tau` of it.
     """
     n, t = residual.shape
     values, vectors = spectrum
     offset = sum(g.dim for g in prior)
     mock = float(np.sum(values[offset if prior else config.d_max :]))
-    global_anchor = prior and config.threshold_rule == THRESHOLD_GLOBAL
-    tau = threshold_tau(prior[0].mock_eigenvalue if global_anchor else mock, n)
+    tau = threshold_tau(mock, n)
 
     window = values[offset : offset + config.d_max + 1]
     # trailing values at rounding level (a sum: no cancellation): nothing left

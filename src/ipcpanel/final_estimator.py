@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    NonFiniteError,
     RankDeficientError,
     SingularCovarianceError,
     SingularDesignError,
@@ -75,11 +76,17 @@ def sandwich_covariance(z: np.ndarray, z_gram: np.ndarray, sigma2: np.ndarray) -
     ------
     SingularCovarianceError
         If the Z Gram matrix is numerically singular.
+    NonFiniteError
+        If the covariance overflows, as when y is too large next to x.
     """
     middle = stacked_gram(z, sigma2[:, None, None] * z)
     half = solve_spd(z_gram, middle, SingularCovarianceError)
     cov = solve_spd(z_gram, half.T, SingularCovarianceError).T
-    return 0.5 * (cov + cov.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf, checked below
+        cov = 0.5 * (cov + cov.T)
+    if not np.all(np.isfinite(cov)):
+        raise NonFiniteError("the sandwich covariance overflows: y is too large next to x")
+    return cov
 
 
 def combine_groups(

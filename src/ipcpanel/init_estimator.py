@@ -192,7 +192,13 @@ def _alternate(dataset: PanelDataset, config: IpcConfig) -> InitResult:
     iterations = 0
     for iterations in range(1, ALS_MAX_ITER + 1):
         beta_new = beta_given_f(dataset, f)
-        d_coef = np.linalg.norm(beta_new - beta) / max(np.linalg.norm(beta), 1e-300)
+        # |beta_new - beta| / max(|beta|, 1e-300) on both vectors divided by a power
+        # of two above max|beta|: exact, so the ratio is the unscaled one to the bit,
+        # but no square in the norms overflows (unscaled, a slope near 1e170 overflows them)
+        scale = np.ldexp(1.0, np.frexp(np.abs(beta).max())[1])
+        d_coef = np.linalg.norm((beta_new - beta) / scale) / max(
+            np.linalg.norm(beta / scale), 1e-300 / scale
+        )
         spectrum = residual_spectrum(dataset, beta_new, t if d_coef < ALS_COEF_TOL else d_max)
         f = t ** (config.delta / 2.0) * spectrum[1][:, :d_max]
         path.append(float(unit_ssr(dataset, beta_new, f).sum()))

@@ -40,14 +40,7 @@ from .inference import (
     jackknife_bias_correct,
     wald_test,
 )
-from .model import (
-    THRESHOLD_GLOBAL,
-    THRESHOLD_PER_GROUP,
-    IpcConfig,
-    IpcFit,
-    PanelDataset,
-    validate_dataset,
-)
+from .model import IpcConfig, IpcFit, PanelDataset, validate_dataset
 from .simulation import ESTIMATORS, Dgp1Spec, McResult, run_monte_carlo
 
 
@@ -394,11 +387,6 @@ def _build_parser() -> _Parser:
     est.add_argument("--time-col", default="time")
     est.add_argument("--dmax", type=int, default=10)
     est.add_argument("--delta", type=float, default=1.0)
-    est.add_argument(
-        "--tau-rule",
-        choices=[THRESHOLD_GLOBAL, THRESHOLD_PER_GROUP],
-        default=THRESHOLD_PER_GROUP,
-    )
     est.add_argument("--jackknife", action="store_true")
     est.add_argument("--wald-R", dest="wald_r_matrix", help="CSV with the restriction matrix")
     est.add_argument("--wald-r", dest="wald_r_vector", help="CSV with the restriction vector")
@@ -440,9 +428,14 @@ def _run_estimate(args) -> None:
     if (args.wald_r_matrix is None) != (args.wald_r_vector is None):
         raise _UsageError("--wald-R and --wald-r must be given together")
     try:
-        config = IpcConfig(delta=args.delta, d_max=args.dmax, threshold_rule=args.tau_rule)
+        config = IpcConfig(delta=args.delta, d_max=args.dmax)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    # the restriction is read and checked before the panel, so a bad file fails fast
+    custom = None
+    if args.wald_r_matrix is not None:
+        r_matrix = _load_matrix_csv(args.wald_r_matrix)
+        custom = WaldSpec(r_matrix, _load_matrix_csv(args.wald_r_vector).ravel())
     dataset = load_long_csv(args.data, schema)
     fit = fit_ipc(dataset, config)
     if not fit.converged:
@@ -451,10 +444,8 @@ def _run_estimate(args) -> None:
             "iterations without converging",
             file=sys.stderr,
         )
-    if args.wald_r_matrix is not None:
-        r_matrix = _load_matrix_csv(args.wald_r_matrix)
-        r_vector = _load_matrix_csv(args.wald_r_vector).ravel()
-        tests = [("custom", wald_test(dataset, fit, WaldSpec(r_matrix, r_vector)))]
+    if custom is not None:
+        tests = [("custom", wald_test(dataset, fit, custom))]
     else:
         basis = np.eye(dataset.n_regressors)
         tests = [

@@ -23,11 +23,6 @@ from .errors import (
     TimeInvariantRegressorError,
 )
 
-#: threshold recomputed from each group's own mock eigenvalue
-THRESHOLD_PER_GROUP = "pergroup"
-#: single threshold from the first group's mock eigenvalue
-THRESHOLD_GLOBAL = "global"
-
 
 def _freeze(a: np.ndarray, name: str) -> np.ndarray:
     """Read-only float copy; DataError naming ``name`` if complex or unconvertible."""
@@ -110,7 +105,9 @@ class IpcConfig:
     """Tuning knobs for the three-step pipeline.
 
     The initial step's stopping rule is fixed: see ``ALS_TOL``,
-    ``ALS_COEF_TOL`` and ``ALS_MAX_ITER`` in ``init_estimator``.
+    ``ALS_COEF_TOL`` and ``ALS_MAX_ITER`` in ``init_estimator``. So is the
+    selection threshold: each group's comes from its own mock eigenvalue
+    (``factor_selection.threshold_tau``).
 
     Parameters
     ----------
@@ -119,22 +116,16 @@ class IpcConfig:
     d_max : int
         Number of factors carried in the initial step and the cap on each
         group's dimension.
-    threshold_rule : str
-        ``"pergroup"`` recomputes the selection threshold from each
-        group's mock eigenvalue; ``"global"`` fixes it at group one's.
     """
 
     delta: float = 1.0
     d_max: int = 10
-    threshold_rule: str = THRESHOLD_PER_GROUP
 
     def __post_init__(self):
         if not np.isfinite(self.delta) or self.delta < 0:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
-        if self.threshold_rule not in (THRESHOLD_PER_GROUP, THRESHOLD_GLOBAL):
-            raise ValueError(f"unknown threshold_rule {self.threshold_rule!r}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

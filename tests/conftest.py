@@ -26,7 +26,7 @@ from ipcpanel.factor_selection import (  # noqa: E402
     threshold_tau,
 )
 from ipcpanel.init_estimator import f_given_beta, residual_spectrum  # noqa: E402
-from ipcpanel.model import THRESHOLD_GLOBAL, FactorGroup, PanelDataset  # noqa: E402
+from ipcpanel.model import FactorGroup, PanelDataset  # noqa: E402
 from ipcpanel.simulation import Dgp1Spec, generate_dgp1  # noqa: E402
 
 #: allocation budgets may be exceeded by this much (numpy and interpreter bookkeeping)
@@ -105,8 +105,7 @@ def deflation_groups(dataset, beta0, config):
         else:
             stacked = f_given_beta(dataset, beta0, config.d_max, config.delta)
         mock = mock_eigenvalue(dataset, beta0, stacked)
-        global_anchor = groups and config.threshold_rule == THRESHOLD_GLOBAL
-        tau = threshold_tau(groups[0].mock_eigenvalue if global_anchor else mock, n)
+        tau = threshold_tau(mock, n)
         u = r - sum(g.loadings @ g.factors.T for g in groups)
         values, vectors = dense_top_eigenpairs(u, k)
         if np.sum(u * u) <= 1e-12 * np.sum(r * r):

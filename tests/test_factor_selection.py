@@ -224,14 +224,17 @@ def relative_gap(a, b):
     return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
 
 
-@pytest.mark.parametrize("rule", ["global", "pergroup"])
-@pytest.mark.parametrize("name", list(ORACLE_PANELS))
-def test_groups_match_deflation_oracle(name, rule):
+#: test ids keep the name of the selection rule, per-group, so they stay stable
+PERGROUP_IDS = [f"{name}-pergroup" for name in ORACLE_PANELS]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PANELS), ids=PERGROUP_IDS)
+def test_groups_match_deflation_oracle(name):
     # one walk down the spectrum of r'r/N against per-group deflation and a
     # full eigensolve of each deflated covariance; 40x1000, 12x300 and the
     # noiseless 12x60 take the SVD route
     ds, init, d_max = oracle_panel(name)
-    config = IpcConfig(d_max=d_max, threshold_rule=rule)
+    config = IpcConfig(d_max=d_max)
     groups = walk_groups(ds, init.beta0, config)
     oracle = deflation_groups(ds, init.beta0, config)
     assert [g.dim for g in groups] == [g.dim for g in oracle]
@@ -345,19 +348,17 @@ def dgp1_long():
     return ds, fit_initial(ds, IpcConfig()).beta0
 
 
-@pytest.mark.parametrize("rule", ["global", "pergroup"])
-def test_threshold_anchor_follows_rule(monkeypatch, dgp1_long, rule):
+@pytest.mark.parametrize("config", [pytest.param(IpcConfig(), id="pergroup")])
+def test_threshold_anchor_follows_rule(monkeypatch, dgp1_long, config):
+    # each group's threshold is anchored at its own mock eigenvalue
     ds, beta0 = dgp1_long
     calls = record_calls(monkeypatch, "threshold_tau")
-    groups = walk_groups(ds, beta0, IpcConfig(threshold_rule=rule))
+    groups = walk_groups(ds, beta0, config)
     anchors = [args[0] for args in calls]
     mocks = [g.mock_eigenvalue for g in groups]
     assert [g.dim for g in groups] == [1, 1, 1]
-    assert len(set(mocks)) == 3  # the two rules anchor differently here
-    if rule == "global":
-        assert anchors and all(a == groups[0].mock_eigenvalue for a in anchors)
-    else:
-        assert anchors[: len(groups)] == mocks
+    assert len(set(mocks)) == 3  # an anchor read off another group would show
+    assert anchors[: len(groups)] == mocks
 
 
 #: every binding through which the package eigensolves r'r/N: the eigh
@@ -382,10 +383,8 @@ def test_one_spectrum_per_walk(monkeypatch, dgp1_long):
         init = fit_initial(ds, IpcConfig())
         for log in [*logs, f_calls, projections]:
             log.clear()
-        for rule in ("global", "pergroup"):
-            config = IpcConfig(threshold_rule=rule)
-            groups = iterate_groups(ds, init.beta0, config, init.spectrum)
-            assert [g.dim for g in groups] == [g.dim for g in fit.groups]
+        groups = iterate_groups(ds, init.beta0, IpcConfig(), init.spectrum)
+        assert [g.dim for g in groups] == [g.dim for g in fit.groups]
         assert sum(map(len, logs)) == len(f_calls) == len(projections) == 0
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ipcpanel import final_estimator, init_estimator, numerics
 from ipcpanel.errors import (
     IpcError,
+    NonFiniteError,
     RankDeficientError,
     SingularLoadingsError,
     SingularZGramError,
@@ -290,6 +291,24 @@ def test_gram_overflow_or_underflow_is_a_typed_error(n, t, scale):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(IpcError):
             fit_ipc(PanelDataset(y=scale * ds.y, x=ds.x), IpcConfig())
+
+
+@pytest.mark.parametrize(
+    "n, t", [(30, 30), (20, 300), (600, 20)], ids=["30x30", "20x300", "600x20"]
+)
+def test_slope_near_1e170_ends_in_a_nonfinite_covariance_error(n, t):
+    # y x 1e120 and x x 1e-50 put the slope near 1e170 on each step-1 route
+    # (direct, time- and unit-compressed): the ALS slope test still fires at the
+    # unscaled panel's iteration, and the covariance, about 1e340, is a typed
+    # error, with no overflow warning on the way
+    ds, _ = generate_dgp1(Dgp1Spec(n, t, seed=3))
+    big = PanelDataset(y=1e120 * ds.y, x=1e-50 * ds.x)
+    config = IpcConfig(d_max=4)
+    init, want = fit_initial(big, config), fit_initial(ds, config)
+    assert init.converged and init.iterations == want.iterations
+    assert np.allclose(init.beta0, 1e170 * want.beta0, rtol=1e-9)
+    with pytest.raises(NonFiniteError, match="covariance overflows"):
+        fit_ipc(big, config)
 
 
 def test_wide_panel_recovers_the_slope():

@@ -605,6 +605,24 @@ def test_exit_codes(tmp_path):
         assert not (tmp_path / name).exists(), name
 
 
+def test_restriction_files_are_read_before_the_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("the panel was fitted before the restriction was read")
+
+    monkeypatch.setattr(io_cli, "fit_ipc", no_fit)
+    path = tmp_path / "panel.csv"
+    write_rows(path, minimal_rows())
+    np.savetxt(tmp_path / "r.csv", np.zeros((1, 1)), delimiter=",")
+    code = cli_main([
+        "estimate", "--data", str(path), "--x-cols", "x1",
+        "--wald-R", str(tmp_path / "missing.csv"), "--wald-r", str(tmp_path / "r.csv"),
+        "--out", str(tmp_path / "fit"),
+    ])
+    assert code == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_z_of_rounding_error_is_a_numerical_failure(tmp_path, capsys):
     ds, _ = generate_dgp1(Dgp1Spec(6, 60, seed=5))
     path = tmp_path / "panel.csv"
@@ -629,6 +647,23 @@ def test_gram_underflow_is_a_numerical_failure(tmp_path, capsys):
         ])
     assert code == 3
     assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not (tmp_path / "fit").exists()
+
+
+def test_covariance_overflow_is_a_numerical_failure(tmp_path):
+    # y x 1e120 and x x 1e-50 put the slope near 1e170 and the covariance
+    # past the float range: one error line, no warning and no output files
+    ds, _ = generate_dgp1(Dgp1Spec(30, 30, seed=3))
+    path = tmp_path / "panel.csv"
+    dataset_to_csv(path, PanelDataset(y=1e120 * ds.y, x=1e-50 * ds.x))
+    out = run_cli(
+        "estimate", "--data", str(path), "--x-cols", "x1,x2", "--dmax", "4",
+        "--out", str(tmp_path / "fit"),
+    )
+    assert out.returncode == 3
+    assert out.stderr == (
+        "numerical failure: the sandwich covariance overflows: y is too large next to x\n"
+    )
     assert not (tmp_path / "fit").exists()
 
 

@@ -178,8 +178,6 @@ def test_config_field_validation():
             IpcConfig(delta=delta)
     with pytest.raises(ValueError):
         IpcConfig(d_max=0)
-    with pytest.raises(ValueError):
-        IpcConfig(threshold_rule="sometimes")
 
 
 @pytest.mark.parametrize("delta", [300.0, 1e6])
@@ -200,10 +198,14 @@ def test_largest_deltas_below_the_overflow_bound_fit():
 
 
 def test_config_holds_only_the_cli_settings():
-    # the initial step's stopping rule is fixed in init_estimator
-    assert list(IpcConfig().to_dict()) == ["delta", "d_max", "threshold_rule"]
+    # the initial step's stopping rule is fixed in init_estimator, its start
+    # is pooled OLS, and step 2 anchors each group's threshold at its own mock
+    assert list(IpcConfig().to_dict()) == ["delta", "d_max"]
     with pytest.raises(TypeError):
         IpcConfig(als_max_iter=10)
+    for step in ("init", "threshold"):
+        with pytest.raises(TypeError):
+            IpcConfig(**{f"{step}_rule": "pergroup"})
 
 
 def test_truth_spec_dimension_check():
